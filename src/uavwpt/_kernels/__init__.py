@@ -2,12 +2,16 @@
 
 The compiled extension (uavwpt._kernels._fast) is preferred when it built;
 otherwise the pure-NumPy reference (_ref) is used.  Both expose the same five
-functions with identical semantics.  Set UAVWPT_BACKEND=python or =cython to
-force one; forcing cython without the extension is an ImportError rather than
-a silent fallback.
+functions with identical semantics.  ``solve_pga_batch`` solves many
+instances in one call: natively in _ref, as a loop over ``solve_pga`` on a
+backend without one.  Set UAVWPT_BACKEND=python or =cython to force one;
+forcing cython without the extension is an ImportError rather than a silent
+fallback.
 """
 
 import os
+
+import numpy as np
 
 from . import _ref
 
@@ -33,3 +37,22 @@ dual_objective_grad = _impl.dual_objective_grad
 project_simplex = _impl.project_simplex
 kkt_residual = _impl.kkt_residual
 solve_pga = _impl.solve_pga
+
+
+def _solve_rows(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
+    """solve_pga_batch as a loop of single solves, for a backend without one."""
+    rows = [
+        _impl.solve_pga(h[b], dw[b], sigma2, cap, tol, kkt_tol, max_iter, armijo, shrink)
+        for b, cap in enumerate(np.asarray(budget, dtype=float).tolist())
+    ]
+    p, f, iterations, kkt, converged = zip(*rows) if rows else ((),) * 5
+    return (
+        np.array(p, dtype=float).reshape(len(rows), dw.shape[1]),
+        np.array(f, dtype=float),
+        np.array(iterations, dtype=np.int64),
+        np.array(kkt, dtype=float),
+        np.array(converged, dtype=bool),
+    )
+
+
+solve_pga_batch = getattr(_impl, "solve_pga_batch", _solve_rows)

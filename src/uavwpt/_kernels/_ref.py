@@ -1,10 +1,17 @@
 """Pure-NumPy kernels: reference implementation of the solver hot path.
 
-These functions mirror uavwpt._kernels._fast exactly; the compiled module is
+These functions mirror uavwpt._kernels._fast; the compiled module is
 preferred at import time and this one is the fallback.  Everything works in
 *permuted* coordinates on raw arrays: ``h`` is the (K, N) channel matrix with
 rows ordered by the encoding permutation and ``dw`` the nonincreasing-weight
 decrements, so the objective is sum_k dw[k] * logdet(A_k).
+
+Every kernel also takes a leading batch axis: ``h`` (B, K, N), ``dw`` and
+``p`` (B, K), ``budget`` (B,).  Rows never mix, and each row's result is
+bitwise the same whatever else is in the batch: the K Cholesky factors of
+all rows come from one stacked LAPACK call, every sum runs in a fixed order
+along its own axis, and the dot products use ``np.vecdot``, which matches
+``@`` bit for bit.  :func:`solve_pga` is the batch of one.
 """
 
 import numpy as np
@@ -25,127 +32,219 @@ def _cholesky(acc):
         ) from exc
 
 
+def _batched(fn):
+    """Let a batch kernel also take one unbatched instance (h of shape (K, N))."""
+
+    def kernel(h, dw, p, sigma2):
+        h = np.asarray(h, dtype=complex)
+        if h.ndim == 3:
+            return fn(h, np.asarray(dw, dtype=float), np.asarray(p, dtype=float), sigma2)
+        dw = np.asarray(dw, dtype=float)[None]
+        out = fn(h[None], dw, np.asarray(p, dtype=float)[None], sigma2)
+        return (float(out[0][0]), out[1][0]) if isinstance(out, tuple) else float(out[0])
+
+    kernel.__name__ = fn.__name__
+    kernel.__doc__ = fn.__doc__
+    return kernel
+
+
+def _factors(h, p, sigma2):
+    """Cholesky factors L_k of A_k = I + sum_{n<=k} (p[n]/sigma2) h_n h_n^H, (B, K, N, N)."""
+    outer = h[..., :, None] * h.conj()[..., None, :]
+    acc = (p / sigma2)[..., None, None] * outer
+    acc[:, 0] += np.eye(h.shape[-1])
+    return _cholesky(np.add.accumulate(acc, axis=1))
+
+
+def _weighted_logdets(dw, chol):
+    """sum_k dw[k] * logdet(A_k) per row, accumulated in k order."""
+    logdet = np.add.reduce(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+    # + 0.0 turns an all-zero -0.0 sum into +0.0, as a sum started at 0.0 gives.
+    return np.add.accumulate(dw * 2.0 * logdet, axis=1)[:, -1] + 0.0
+
+
+@_batched
 def dual_objective(h, dw, p, sigma2):
     """sum_k dw[k] * logdet(I + sum_{n<=k} (p[n]/sigma2) h_n h_n^H)."""
-    k_ues, n = h.shape
-    acc = np.eye(n, dtype=complex)
-    obj = 0.0
-    for k in range(k_ues):
-        acc = acc + (p[k] / sigma2) * np.outer(h[k], h[k].conj())
-        diag = np.diagonal(_cholesky(acc)).real
-        obj += dw[k] * 2.0 * float(np.sum(np.log(diag)))
-    return obj
+    return _weighted_logdets(dw, _factors(h, p, sigma2))
 
 
+@_batched
 def dual_objective_grad(h, dw, p, sigma2):
     """Objective and its gradient w.r.t. p (both in permuted order)."""
-    k_ues, n = h.shape
-    acc = np.eye(n, dtype=complex)
-    obj = 0.0
-    grad = np.zeros(k_ues)
-    for k in range(k_ues):
-        acc = acc + (p[k] / sigma2) * np.outer(h[k], h[k].conj())
-        chol = _cholesky(acc)
-        diag = np.diagonal(chol).real
-        obj += dw[k] * 2.0 * float(np.sum(np.log(diag)))
-        if dw[k] != 0.0:
-            # d logdet(A_k)/d p[m] = h_m^H A_k^{-1} h_m / sigma2 = ||L^{-1} h_m||^2 / sigma2
-            sol = np.linalg.solve(chol, h[: k + 1].T)
-            grad[: k + 1] += dw[k] * np.sum(np.abs(sol) ** 2, axis=0) / sigma2
-    return obj, grad
+    chol = _factors(h, p, sigma2)
+    # d logdet(A_k)/d p[m] = h_m^H A_k^{-1} h_m / sigma2 = ||L_k^{-1} h_m||^2 / sigma2,
+    # for every (k, m) pair from one stacked solve; only m <= k is used.
+    sol = np.linalg.solve(chol, np.swapaxes(h, -1, -2)[:, None])
+    sq = np.abs(sol) ** 2                          # (B, K, N, K): row k, antenna, column m
+    # Antenna sums in antenna order, except user 0's own column, which is one
+    # vector sum (pairwise once N >= 8): the orders of the user-by-user
+    # evaluation, so results keep their bits at every N.
+    quad = np.add.accumulate(sq, axis=2)[:, :, -1]
+    quad[:, 0, 0] = np.add.reduce(np.ascontiguousarray(sq[:, 0, :, 0]), axis=-1)
+    users = np.arange(h.shape[1])
+    lower = np.greater_equal.outer(users, users) & (dw != 0.0)[:, :, None]
+    terms = np.where(lower, dw[:, :, None] * quad / sigma2, 0.0)
+    grad = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
+    return _weighted_logdets(dw, chol), grad
 
 
 def project_simplex(v, budget):
-    """Euclidean projection onto {p >= 0, sum p <= budget}.
+    """Euclidean projection onto {p >= 0, sum p <= budget}, row by row.
 
     Inside the budget it is plain clipping; otherwise the classic
     sort-and-threshold projection onto {p >= 0, sum p = budget}.
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
     v = np.asarray(v, dtype=float)
+    budget = np.asarray(budget, dtype=float)
+    if (budget < 0).any():
+        raise ValueError("budget must be nonnegative")
     clipped = np.maximum(v, 0.0)
-    if float(np.sum(clipped)) <= budget:
+    inside = np.add.reduce(clipped, axis=-1) <= budget
+    if inside.all():
         return clipped
-    if budget == 0.0:
-        return np.zeros_like(v)
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    counts = np.arange(1, v.size + 1, dtype=float)
-    support = np.nonzero(u - (cumulative - budget) / counts > 0.0)[0]
-    rho = support[-1]
-    theta = (cumulative[rho] - budget) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    k_ues = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    cumulative = np.add.accumulate(u, axis=-1)
+    counts = np.arange(1, k_ues + 1, dtype=float)
+    support = u - (cumulative - budget[..., None]) / counts > 0.0
+    rho = k_ues - 1 - np.argmax(support[..., ::-1], axis=-1)
+    top = np.take_along_axis(cumulative, rho[..., None], axis=-1)[..., 0]
+    theta = (top - budget) / (rho + 1.0)
+    projected = np.where(budget[..., None] == 0.0, 0.0, np.maximum(v - theta[..., None], 0.0))
+    return np.where(inside[..., None], clipped, projected)
 
 
 def kkt_residual(p, grad, budget, eps_act):
-    """First-order optimality residual on the budgeted simplex (see solver)."""
-    mu = float(np.max(grad))
-    active = p > eps_act
-    if mu > 0.0:
-        r_grad = float(np.max(np.abs(grad[active] - mu))) / mu if np.any(active) else 0.0
-        r_budget = abs(float(np.sum(p)) - budget) / max(budget, eps_act)
-        return max(r_grad, r_budget)
-    if not np.any(active):
-        return 0.0
-    return float(np.max(np.abs(grad[active]))) / max(1.0, abs(mu))
+    """First-order optimality residual on the budgeted simplex (see solver), row by row."""
+    p = np.asarray(p, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    mu = np.maximum.reduce(grad, axis=-1)
+    active = p > np.asarray(eps_act)[..., None]
+    positive = mu > 0.0
+    spread = np.maximum.reduce(np.where(active, np.abs(grad - mu[..., None]), 0.0), axis=-1)
+    r_grad = spread / np.where(positive, mu, 1.0)
+    r_budget = np.abs(np.add.reduce(p, axis=-1) - budget) / np.maximum(budget, eps_act)
+    r_stationary = np.maximum.reduce(np.where(active, np.abs(grad), 0.0), axis=-1)
+    out = np.where(
+        positive,
+        np.where(r_budget > r_grad, r_budget, r_grad),
+        r_stationary / np.fmax(1.0, np.abs(mu)),
+    )
+    return float(out) if out.ndim == 0 else out
 
 
 def solve_pga(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
-    """Projected gradient ascent with Armijo backtracking.
+    """Projected gradient ascent on one instance: :func:`solve_pga_batch` of one row.
 
-    Returns (p, objective, iterations, kkt_residual, converged).  Every
-    iterate is feasible and the objective never decreases across accepted
-    steps.  The trial step is budget on the first iteration and the
-    Barzilai-Borwein spectral step afterwards (clipped to [1e-30, 1e30]);
-    when the curvature estimate is unusable it falls back to doubling the
-    last accepted step.  Deterministic: fixed uniform start, no randomness.
+    Returns (p, objective, iterations, kkt_residual, converged).
     """
-    k_ues = dw.shape[0]
-    if budget < 0:
+    p, f, iterations, kkt, converged = solve_pga_batch(
+        np.asarray(h, dtype=complex)[None],
+        np.asarray(dw, dtype=float)[None],
+        sigma2,
+        np.array([budget], dtype=float),
+        tol,
+        kkt_tol,
+        max_iter,
+        armijo,
+        shrink,
+    )
+    return p[0], float(f[0]), int(iterations[0]), float(kkt[0]), bool(converged[0])
+
+
+def solve_pga_batch(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
+    """Projected gradient ascent with Armijo backtracking, all rows in lockstep.
+
+    ``h`` is (B, K, N), ``dw`` (B, K) and ``budget`` (B,).  Returns arrays
+    (p (B, K), objective, iterations, kkt_residual, converged), one entry
+    per row.  Every iterate is feasible and the objective never decreases
+    across accepted steps.  The trial step is the budget on the first
+    iteration and the Barzilai-Borwein spectral step afterwards (clipped to
+    [1e-30, 1e30]); when the curvature estimate is unusable it falls back to
+    doubling the last accepted step, capped at the budget.  Each row keeps
+    its own iterate, step, backtracking and stop test; only rows still
+    running are evaluated.  Deterministic: fixed uniform start, no
+    randomness.
+    """
+    h = np.asarray(h, dtype=complex)
+    dw = np.asarray(dw, dtype=float)
+    budget = np.asarray(budget, dtype=float)
+    n_rows, k_ues = dw.shape
+    if (budget < 0).any():
         raise ValueError("budget must be nonnegative")
-    if budget == 0.0 or k_ues == 0:
-        return np.zeros(k_ues), 0.0, 0, 0.0, True
-    eps_act = 1e-9 * budget
-    p = np.full(k_ues, budget / k_ues)
+    p_out = np.zeros((n_rows, k_ues))
+    f_out = np.zeros(n_rows)
+    it_out = np.zeros(n_rows, dtype=np.int64)
+    kkt_out = np.zeros(n_rows)
+    conv_out = np.ones(n_rows, dtype=bool)
+    rows = np.flatnonzero(budget > 0.0) if k_ues else np.empty(0, dtype=np.intp)
+    if rows.size == 0:
+        return p_out, f_out, it_out, kkt_out, conv_out
+
+    h, dw, cap = h[rows], dw[rows], budget[rows]
+    eps_act = 1e-9 * cap
+    p = np.repeat((cap / k_ues)[:, None], k_ues, axis=1)
     f, g = dual_objective_grad(h, dw, p, sigma2)
-    kkt = kkt_residual(p, g, budget, eps_act)
-    if kkt <= kkt_tol:
-        return p, f, 0, kkt, True
-    step = budget
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        t = step
-        accepted = False
-        cand = p
-        f_cand = f
-        for _ in range(_MAX_BACKTRACK):
-            cand = project_simplex(p + t * g, budget)
-            ascent = float(g @ (cand - p))
-            if ascent <= 0.0:
-                break
-            f_cand = dual_objective(h, dw, cand, sigma2)
-            if f_cand >= f + armijo * ascent:
-                accepted = True
-                break
-            t *= shrink
-        if not accepted:
-            # No ascent left at any step length: numerically stationary.
-            converged = kkt <= kkt_tol
+    kkt = kkt_residual(p, g, cap, eps_act)
+    step = cap.copy()
+
+    def finish(done, iterations, converged):
+        """Write the rows flagged in ``done`` back and drop them from the state."""
+        nonlocal rows, h, dw, cap, eps_act, p, f, g, kkt, step
+        if not done.any():
+            return
+        where = rows[done]
+        p_out[where], f_out[where], kkt_out[where] = p[done], f[done], kkt[done]
+        it_out[where], conv_out[where] = iterations, converged
+        keep = ~done
+        rows, h, dw, cap, eps_act = rows[keep], h[keep], dw[keep], cap[keep], eps_act[keep]
+        p, f, g, kkt, step = p[keep], f[keep], g[keep], kkt[keep], step[keep]
+
+    finish(kkt <= kkt_tol, 0, True)
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        if rows.size == 0:
             break
-        rel_change = abs(f_cand - f) / max(abs(f_cand), 1e-300)
+        t = step.copy()
+        cand = p.copy()
+        f_cand = f.copy()
+        accepted = np.zeros(rows.size, dtype=bool)
+        search = np.arange(rows.size)
+        for _ in range(_MAX_BACKTRACK):
+            trial = project_simplex(p[search] + t[search, None] * g[search], cap[search])
+            ascent = np.vecdot(g[search], trial - p[search])
+            up = ascent > 0.0
+            # Rows with no ascent left stop searching without a step.
+            search, trial, ascent = search[up], trial[up], ascent[up]
+            if search.size == 0:
+                break
+            value = dual_objective(h[search], dw[search], trial, sigma2)
+            cand[search], f_cand[search] = trial, value
+            ok = value >= f[search] + armijo * ascent
+            accepted[search[ok]] = True
+            search = search[~ok]
+            if search.size == 0:
+                break
+            t[search] *= shrink
+        # No ascent left at any step length: numerically stationary.
+        finish(~accepted, iteration, kkt[~accepted] <= kkt_tol)
+        t, cand, f_cand = t[accepted], cand[accepted], f_cand[accepted]
+        if rows.size == 0:
+            break
+        rel_change = np.abs(f_cand - f) / np.maximum(np.abs(f_cand), 1e-300)
         s = cand - p
         g_prev = g
         p = cand
         f, g = dual_objective_grad(h, dw, p, sigma2)
-        kkt = kkt_residual(p, g, budget, eps_act)
-        if rel_change <= tol and kkt <= kkt_tol:
-            converged = True
-            break
-        curvature = float(s @ g_prev) - float(s @ g)
-        if curvature > 0.0:
-            step = min(max(float(s @ s) / curvature, 1e-30), 1e30)
-        else:
-            step = min(2.0 * t, budget)
-    return p, f, iterations, kkt, converged
+        kkt = kkt_residual(p, g, cap, eps_act)
+        curvature = np.vecdot(s, g_prev) - np.vecdot(s, g)
+        usable = curvature > 0.0
+        spectral = np.vecdot(s, s) / np.where(usable, curvature, 1.0)
+        step = np.where(
+            usable, np.minimum(np.maximum(spectral, 1e-30), 1e30), np.minimum(2.0 * t, cap)
+        )
+        done = (rel_change <= tol) & (kkt <= kkt_tol)
+        finish(done, iteration, True)
+    finish(np.ones(rows.size, dtype=bool), iteration, False)
+    return p_out, f_out, it_out, kkt_out, conv_out

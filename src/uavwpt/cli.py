@@ -23,7 +23,10 @@ import numpy as np
 
 from .channel import draw_channel, draw_topology, topology_rng, trial_rng
 from .config import ConfigError, defaults_text, load_config
+from .eh_model import harvest
 from .emwt import run_emwt
+from .rate import optimal_permutation, weight_decrements
+from .solver import solve_batch
 
 _LN2 = math.log(2.0)
 
@@ -85,33 +88,72 @@ def format_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _frozen_topology(cfg, seed):
+    """The topology shared by every trial when cfg.frozen_topology, else None."""
+    if not cfg.frozen_topology:
+        return None
+    return draw_topology(
+        topology_rng(seed), cfg.n_ues, cfg.r_min, cfg.r_max, cfg.height, cfg.alpha, cfg.kappa
+    )
+
+
+def _draw_trial(cfg, rng, frozen_topology):
+    """Topology, uplink channel and downlink channel (None: reuse the uplink)."""
+    topo = frozen_topology
+    if topo is None:
+        topo = draw_topology(
+            rng, cfg.n_ues, cfg.r_min, cfg.r_max, cfg.height, cfg.alpha, cfg.kappa
+        )
+    channels = draw_channel(rng, topo, cfg.n_antennas)
+    downlink = draw_channel(rng, topo, cfg.n_antennas) if cfg.independent_dl else None
+    return topo, channels, downlink
+
+
+# Trials drawn and solved together; it bounds the memory of a cell, whatever
+# sweep.trials is.
+_CHUNK_TRIALS = 1024
+
+
 def run_cell(cfg, spec: SweepSpec, cell_index: int, frozen_topology=None):
-    """All trials of one sweep cell; returns (SweepRow, nonconverged count)."""
+    """All trials of one sweep cell; returns (SweepRow, nonconverged count).
+
+    Each trial still draws from its own stream, one after another; the
+    uplink harvest and the power allocation then run on whole chunks of
+    trials.  Full-power MRT delivers |h_k^H w_k|^2 = p_max_k ||h_k||^2, so
+    the harvester input is computed in closed form without building beams.
+    """
     p_cir, c = spec.cells[cell_index]
     sys_cfg = cfg.system(circuit_power=p_cir, eh_c=c)
+    perm = optimal_permutation(sys_cfg.weights)
+    dw = weight_decrements(sys_cfg.weights, perm)
+    shape = (sys_cfg.n_ues, sys_cfg.n_antennas)
     throughputs = np.empty(spec.trials)
     budgets = np.empty(spec.trials)
     nonconverged = 0
-    for t in range(spec.trials):
-        rng = trial_rng(spec.seed, cell=cell_index, trial=t)
-        if frozen_topology is not None:
-            topo = frozen_topology
-        else:
-            topo = draw_topology(
-                rng, cfg.n_ues, cfg.r_min, cfg.r_max, cfg.height, cfg.alpha, cfg.kappa
-            )
-        channels = draw_channel(rng, topo, cfg.n_antennas)
-        downlink = draw_channel(rng, topo, cfg.n_antennas) if cfg.independent_dl else None
-        result = run_emwt(
-            sys_cfg,
-            channels,
-            downlink=downlink,
+    for start in range(0, spec.trials, _CHUNK_TRIALS):
+        stop = min(start + _CHUNK_TRIALS, spec.trials)
+        uplink = np.empty((stop - start, *shape), dtype=complex)
+        downlink = np.empty_like(uplink) if cfg.independent_dl else uplink
+        for i, t in enumerate(range(start, stop)):
+            rng = trial_rng(spec.seed, cell=cell_index, trial=t)
+            _, channels, dl = _draw_trial(cfg, rng, frozen_topology)
+            uplink[i] = channels.h
+            if dl is not None:
+                downlink[i] = dl.h
+        p_in = np.sum(sys_cfg.p_max * np.sum(np.abs(uplink) ** 2, axis=-1), axis=-1)
+        p_out = harvest(sys_cfg.eh, p_in)
+        budget = np.maximum(0.0, sys_cfg.amp_efficiency * (p_out - sys_cfg.circuit_power))
+        _, objective, _, _, converged = solve_batch(
+            downlink[:, perm],
+            dw,
+            sys_cfg.noise_power,
+            budget,
             tol=cfg.solver_tol,
             max_iter=cfg.solver_max_iter,
         )
-        throughputs[t] = result.weighted_throughput
-        budgets[t] = result.budget
-        nonconverged += not result.solve.converged
+        throughputs[start:stop] = objective
+        budgets[start:stop] = budget
+        nonconverged += int(np.count_nonzero(~converged))
     mean = float(np.mean(throughputs))
     if spec.trials > 1:
         ci95 = float(1.96 * np.std(throughputs, ddof=1) / math.sqrt(spec.trials))
@@ -137,17 +179,7 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
     """
     if spec is None:
         spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, cfg.trials, cfg.seed)
-    frozen = None
-    if cfg.frozen_topology:
-        frozen = draw_topology(
-            topology_rng(spec.seed),
-            cfg.n_ues,
-            cfg.r_min,
-            cfg.r_max,
-            cfg.height,
-            cfg.alpha,
-            cfg.kappa,
-        )
+    frozen = _frozen_topology(cfg, spec.seed)
     rows = []
     warnings = []
     for cell_index, (p_cir, c) in enumerate(spec.cells):
@@ -170,22 +202,7 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
 def single_record(cfg, bits=False) -> dict:
     """One frame on the (cell 0, trial 0) stream, all intermediates."""
     rng = trial_rng(cfg.seed, cell=0, trial=0)
-    if cfg.frozen_topology:
-        topo = draw_topology(
-            topology_rng(cfg.seed),
-            cfg.n_ues,
-            cfg.r_min,
-            cfg.r_max,
-            cfg.height,
-            cfg.alpha,
-            cfg.kappa,
-        )
-    else:
-        topo = draw_topology(
-            rng, cfg.n_ues, cfg.r_min, cfg.r_max, cfg.height, cfg.alpha, cfg.kappa
-        )
-    channels = draw_channel(rng, topo, cfg.n_antennas)
-    downlink = draw_channel(rng, topo, cfg.n_antennas) if cfg.independent_dl else None
+    topo, channels, downlink = _draw_trial(cfg, rng, _frozen_topology(cfg, cfg.seed))
     result = run_emwt(
         cfg.system(),
         channels,
@@ -274,6 +291,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
+        if args.seed < 0:
+            print("config error: --seed must be nonnegative", file=sys.stderr)
+            return 2
         cfg = replace(cfg, seed=args.seed)
 
     if args.command == "simulate":

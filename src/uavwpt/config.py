@@ -192,12 +192,6 @@ def load_config(path=None, overrides=()) -> AppConfig:
             raise
         raise ConfigError(f"bad list value in config: {exc}") from exc
 
-    trials = number("sweep", "trials", int)
-    if trials < 1:
-        raise ConfigError("sweep.trials must be at least 1")
-    if any(v < 0 for v in sweep_p_cir) or any(v < 0 for v in sweep_c):
-        raise ConfigError("sweep values must be nonnegative")
-
     try:
         frozen = parser.getboolean("topology", "frozen")
         independent_dl = parser.getboolean("channel", "independent_dl")
@@ -226,11 +220,41 @@ def load_config(path=None, overrides=()) -> AppConfig:
         solver_max_iter=number("solver", "max_iter", int),
         sweep_p_cir=sweep_p_cir,
         sweep_c=sweep_c,
-        trials=trials,
+        trials=number("sweep", "trials", int),
         seed=number("sweep", "seed", int),
     )
-    try:
-        cfg.system()  # runs the SystemConfig/EhParams validators once
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # (key, value, lower bound, bound excluded, upper bound): every value must
+    # be finite and in range, so that bad input stops here with a config error
+    # instead of turning into NaN rows, silent infeasible rows or tracebacks.
+    for key, value, low, open_low, high in (
+        ("eh.a", cfg.eh_a, 0.0, True, None),
+        ("eh.b", cfg.eh_b, 0.0, True, None),
+        ("eh.c", cfg.eh_c, 0.0, True, None),
+        ("topology.height", cfg.height, 0.0, True, None),
+        ("topology.r_min", cfg.r_min, 0.0, False, None),
+        ("topology.r_max", cfg.r_max, cfg.r_min, False, None),
+        ("channel.kappa", cfg.kappa, 0.0, False, None),
+        ("channel.alpha", cfg.alpha, 0.0, True, None),
+        ("ue.p_max", cfg.p_max, 0.0, False, None),
+        ("ue.weights", cfg.weights, 0.0, False, None),
+        ("system.noise_power", cfg.noise_power, 0.0, True, None),
+        ("system.amp_efficiency", cfg.amp_efficiency, 0.0, True, 1.0),
+        ("system.circuit_power", cfg.circuit_power, 0.0, False, None),
+        ("solver.tol", cfg.solver_tol, 0.0, False, None),
+        ("solver.max_iter", cfg.solver_max_iter, 1, False, None),
+        ("sweep.p_cir", sweep_p_cir, 0.0, False, None),
+        ("sweep.c", sweep_c, 0.0, True, None),
+        ("sweep.trials", cfg.trials, 1, False, None),
+        ("sweep.seed", cfg.seed, 0, False, None),
+    ):
+        values = np.atleast_1d(np.asarray(value, dtype=float))
+        below = values <= low if open_low else values < low
+        if np.all(np.isfinite(values)) and not np.any(below):
+            if high is None or np.all(values <= high):
+                continue
+        bound = f"{'>' if open_low else '>='} {low:g}"
+        if high is not None:
+            bound += f" and <= {high:g}"
+        shown = ", ".join(f"{v:g}" for v in values)
+        raise ConfigError(f"{key} must be finite and {bound}, got {shown}")
     return cfg

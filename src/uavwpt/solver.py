@@ -12,8 +12,12 @@ weight decrements are all nonnegative (weights sorted descending along the
 encoding order), so gradient ascent with a nondecreasing-objective line
 search converges to the global maximum in that case.  Defaults: stop when the
 relative objective change is <= tol AND the KKT residual is <= kkt_tol;
-uniform feasible start; initial step = budget, doubled after each accepted
-iteration and capped at budget.
+uniform feasible start; the first trial step is the budget, later ones the
+Barzilai-Borwein spectral step |s|^2 / (s . (g_prev - g)) from the last
+accepted move s (Barzilai & Borwein, IMA J. Numer. Anal. 1988), clipped to
+[1e-30, 1e30], or twice the last accepted step capped at the budget when
+that curvature estimate is not positive.  Armijo backtracking halves the
+trial step until the objective rises enough.
 """
 
 from dataclasses import dataclass
@@ -126,4 +130,19 @@ def solve_power_allocation(
         iterations=int(iterations),
         kkt_residual=float(kkt),
         converged=bool(converged),
+    )
+
+
+def solve_batch(h, dw, sigma2: float, budgets, tol=1e-8, kkt_tol=1e-6, max_iter=10_000):
+    """Solve many instances in one kernel call, already in permuted coordinates.
+
+    ``h`` is (B, K, N) with rows in encoding order, ``dw`` the (K,) weight
+    decrements shared by every instance and ``budgets`` (B,).  Returns the
+    kernel's arrays (p, objective, iterations, kkt_residual, converged); each
+    row is bitwise what a single solve of that instance gives.
+    """
+    budgets = np.asarray(budgets, dtype=float)
+    dw = np.broadcast_to(np.asarray(dw, dtype=float), (budgets.size, np.shape(dw)[-1]))
+    return _kernels.solve_pga_batch(
+        h, dw, float(sigma2), budgets, float(tol), float(kkt_tol), int(max_iter), _ARMIJO, _SHRINK
     )

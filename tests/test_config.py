@@ -150,3 +150,42 @@ def test_invalid_physics_rejected(tmp_path):
     path.write_text("[eh]\nb = -0.5\n")
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+# Each of these once ended in a traceback, a NaN row or a silent
+# all-infeasible row; now the command stops before any trial runs.
+@pytest.mark.parametrize(
+    "override,key",
+    [
+        ("ue.weights=nan", "ue.weights"),
+        ("channel.kappa=nan", "channel.kappa"),
+        ("ue.p_max=inf", "ue.p_max"),
+        ("sweep.p_cir=nan", "sweep.p_cir"),
+        ("topology.height=-5", "topology.height"),
+        ("solver.tol=-1", "solver.tol"),
+    ],
+)
+def test_bad_value_is_config_error_exit_2(override, key, tmp_path, capsys):
+    from uavwpt.cli import main
+
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--trials", "2", "--set", override, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["eh.a=inf", "topology.r_max=5", "sweep.c=0", "solver.max_iter=0", "sweep.seed=-1"],
+)
+def test_out_of_range_values_rejected(override):
+    with pytest.raises(ConfigError, match=override.split("=")[0]):
+        load_config(overrides=(override,))
+
+
+def test_negative_seed_flag_exits_2(capsys):
+    from uavwpt.cli import main
+
+    assert main(["simulate", "--seed", "-3"]) == 2
+    assert "seed" in capsys.readouterr().err
