@@ -14,6 +14,8 @@ along its own axis, and the dot products use ``np.vecdot``, which matches
 ``@`` bit for bit.  :func:`solve_pga` is the batch of one.
 """
 
+import functools
+
 import numpy as np
 
 from ..errors import ConsistencyError
@@ -35,6 +37,7 @@ def _cholesky(acc):
 def _batched(fn):
     """Let a batch kernel also take one unbatched instance (h of shape (K, N))."""
 
+    @functools.wraps(fn)
     def kernel(h, dw, p, sigma2):
         h = np.asarray(h, dtype=complex)
         if h.ndim == 3:
@@ -43,8 +46,6 @@ def _batched(fn):
         out = fn(h[None], dw, np.asarray(p, dtype=float)[None], sigma2)
         return (float(out[0][0]), out[1][0]) if isinstance(out, tuple) else float(out[0])
 
-    kernel.__name__ = fn.__name__
-    kernel.__doc__ = fn.__doc__
     return kernel
 
 

@@ -117,9 +117,8 @@ _CHUNK_TRIALS = 1024
 def run_cell(cfg, spec: SweepSpec, cell_index: int, frozen_topology=None):
     """All trials of one sweep cell; returns (SweepRow, nonconverged count).
 
-    Each trial still draws from its own stream, one after another; the
-    uplink harvest and the power allocation then run on whole chunks of
-    trials.  Full-power MRT delivers |h_k^H w_k|^2 = p_max_k ||h_k||^2, so
+    Each trial draws from its own stream, one after another; the uplink
+    harvest and the power allocation then run on whole chunks of trials.  Full-power MRT delivers |h_k^H w_k|^2 = p_max_k ||h_k||^2, so
     the harvester input is computed in closed form without building beams.
     """
     p_cir, c = spec.cells[cell_index]
