@@ -23,9 +23,8 @@ import numpy as np
 
 from .channel import draw_channel, draw_topology, topology_rng, trial_rng
 from .config import ConfigError, defaults_text, load_config
-from .eh_model import harvest
-from .emwt import run_emwt
-from .rate import optimal_permutation, weight_decrements
+from .eh_model import max_harvest
+from .emwt import compute_budget, run_emwt
 from .solver import solve_batch
 
 _LN2 = math.log(2.0)
@@ -118,13 +117,12 @@ def run_cell(cfg, spec: SweepSpec, cell_index: int, frozen_topology=None):
     """All trials of one sweep cell; returns (SweepRow, nonconverged count).
 
     Each trial draws from its own stream, one after another; the uplink
-    harvest and the power allocation then run on whole chunks of trials.  Full-power MRT delivers |h_k^H w_k|^2 = p_max_k ||h_k||^2, so
-    the harvester input is computed in closed form without building beams.
+    harvest and the power allocation then run on whole chunks of trials.
+    Full-power MRT delivers |h_k^H w_k|^2 = p_max_k ||h_k||^2, so the
+    harvester input is computed in closed form without building beams.
     """
     p_cir, c = spec.cells[cell_index]
     sys_cfg = cfg.system(circuit_power=p_cir, eh_c=c)
-    perm = optimal_permutation(sys_cfg.weights)
-    dw = weight_decrements(sys_cfg.weights, perm)
     shape = (sys_cfg.n_ues, sys_cfg.n_antennas)
     throughputs = np.empty(spec.trials)
     budgets = np.empty(spec.trials)
@@ -139,12 +137,14 @@ def run_cell(cfg, spec: SweepSpec, cell_index: int, frozen_topology=None):
             uplink[i] = channels.h
             if dl is not None:
                 downlink[i] = dl.h
-        p_in = np.sum(sys_cfg.p_max * np.sum(np.abs(uplink) ** 2, axis=-1), axis=-1)
-        p_out = harvest(sys_cfg.eh, p_in)
-        budget = np.maximum(0.0, sys_cfg.amp_efficiency * (p_out - sys_cfg.circuit_power))
+        budget = compute_budget(
+            max_harvest(sys_cfg.eh, sys_cfg.p_max, uplink),
+            sys_cfg.amp_efficiency,
+            sys_cfg.circuit_power,
+        )
         _, objective, _, _, converged = solve_batch(
-            downlink[:, perm],
-            dw,
+            downlink,
+            sys_cfg.weights,
             sys_cfg.noise_power,
             budget,
             tol=cfg.solver_tol,
@@ -284,23 +284,20 @@ def main(argv=None) -> int:
     if args.command == "defaults":
         sys.stdout.write(defaults_text())
         return 0
+    # --seed and --trials are overrides like any other, so load_config
+    # validates them with the rest of the config.
+    overrides = list(args.overrides)
+    if args.seed is not None:
+        overrides.append(f"sweep.seed={args.seed}")
+    if getattr(args, "trials", None) is not None:
+        overrides.append(f"sweep.trials={args.trials}")
     try:
-        cfg = load_config(args.config, args.overrides)
+        cfg = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        if args.seed < 0:
-            print("config error: --seed must be nonnegative", file=sys.stderr)
-            return 2
-        cfg = replace(cfg, seed=args.seed)
 
     if args.command == "simulate":
-        if args.trials is not None:
-            if args.trials < 1:
-                print("config error: --trials must be at least 1", file=sys.stderr)
-                return 2
-            cfg = replace(cfg, trials=args.trials)
         rows, warnings = run_sweep(cfg, bits=args.bits)
         for line in warnings:
             print(f"warning: {line}", file=sys.stderr)

@@ -85,18 +85,22 @@ def harvest(params: EhParams, p_in):
     return out if arr.ndim else float(out)
 
 
-def max_harvest(params: EhParams, p_max, channels) -> float:
+def max_harvest(params: EhParams, p_max, channels):
     """Harvested power when every UE beamforms at full power along its channel.
 
     With maximal ratio transmission the input power is sum_k p_max_k*||h_k||^2,
     the largest value any per-UE power-capped beamformer set can deliver.
+    ``channels`` is a ChannelRealization or a stack of channel matrices of
+    shape (..., K, N); the result is a float or an array of the stack's
+    leading shape.
     """
+    h = np.asarray(getattr(channels, "h", channels))
     caps = np.asarray(p_max, dtype=float)
-    if caps.shape != (channels.n_ues,):
+    if caps.shape != h.shape[-2:-1]:
         raise ValueError(
-            f"expected {channels.n_ues} per-UE power caps, got shape {caps.shape}"
+            f"expected {h.shape[-2]} per-UE power caps, got shape {caps.shape}"
         )
     if np.any(caps < 0):
         raise ValueError("per-UE power caps must be nonnegative")
-    gains = np.sum(np.abs(channels.h) ** 2, axis=1)
-    return harvest(params, float(caps @ gains))
+    gains = np.sum(np.abs(h) ** 2, axis=-1)
+    return harvest(params, np.sum(caps * gains, axis=-1))

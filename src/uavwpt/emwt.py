@@ -70,18 +70,21 @@ class EmwtResult:
     solve: SolveReport
 
 
-def compute_budget(p_out: float, amp_efficiency: float, circuit_power: float) -> float:
+def compute_budget(p_out, amp_efficiency: float, circuit_power: float):
     """Downlink power budget left after circuit power and amplifier loss.
 
     The supply must cover (1/phi) * sum(p) + P_CIR, so the total transmit
     power is capped at phi * (p_out - P_CIR), clamped at zero when the
-    harvested supply cannot even run the circuits.
+    harvested supply cannot even run the circuits.  ``p_out`` is a scalar
+    (float result) or an array of supplies (array result).
     """
-    if p_out < 0 or circuit_power < 0:
+    p_out = np.asarray(p_out, dtype=float)
+    if np.any(p_out < 0) or circuit_power < 0:
         raise ValueError("powers must be nonnegative")
     if not 0 < amp_efficiency <= 1:
         raise ValueError("amplifier efficiency must be in (0, 1]")
-    return max(0.0, amp_efficiency * (p_out - circuit_power))
+    budget = np.maximum(0.0, amp_efficiency * (p_out - circuit_power))
+    return budget if budget.ndim else float(budget)
 
 
 def run_emwt(

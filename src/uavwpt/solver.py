@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .rate import weight_decrements
+from .rate import optimal_permutation, weight_decrements
 
 _ARMIJO = 1e-4
 _SHRINK = 0.5
@@ -133,16 +133,29 @@ def solve_power_allocation(
     )
 
 
-def solve_batch(h, dw, sigma2: float, budgets, tol=1e-8, kkt_tol=1e-6, max_iter=10_000):
-    """Solve many instances in one kernel call, already in permuted coordinates.
+def solve_batch(h, weights, sigma2: float, budgets, tol=1e-8, kkt_tol=1e-6, max_iter=10_000):
+    """Solve many instances that share one weight vector in one kernel call.
 
-    ``h`` is (B, K, N) with rows in encoding order, ``dw`` the (K,) weight
-    decrements shared by every instance and ``budgets`` (B,).  Returns the
-    kernel's arrays (p, objective, iterations, kkt_residual, converged); each
-    row is bitwise what a single solve of that instance gives.
+    ``h`` is (B, K, N) in original UE order and ``budgets`` (B,).  Every
+    instance uses the descending-weight encoding order, the globally optimal
+    one.  Returns arrays (p, objective, iterations, kkt_residual, converged)
+    with p in original UE order; each row is bitwise what
+    solve_power_allocation gives for that instance.
     """
+    perm = optimal_permutation(weights)
     budgets = np.asarray(budgets, dtype=float)
-    dw = np.broadcast_to(np.asarray(dw, dtype=float), (budgets.size, np.shape(dw)[-1]))
-    return _kernels.solve_pga_batch(
-        h, dw, float(sigma2), budgets, float(tol), float(kkt_tol), int(max_iter), _ARMIJO, _SHRINK
+    dw = np.broadcast_to(weight_decrements(weights, perm), (budgets.size, perm.size))
+    q, objective, iterations, kkt, converged = _kernels.solve_pga_batch(
+        np.ascontiguousarray(h[:, perm]),
+        dw,
+        float(sigma2),
+        budgets,
+        float(tol),
+        float(kkt_tol),
+        int(max_iter),
+        _ARMIJO,
+        _SHRINK,
     )
+    p = np.zeros_like(q)
+    p[:, perm] = q
+    return p, objective, iterations, kkt, converged

@@ -115,6 +115,25 @@ def test_unbatched_kernels_match_their_batch_row():
         assert _ref.dual_objective(h[b], dw[b], p[b], SIGMA2) == f[b]
 
 
+def test_solve_batch_matches_solve_power_allocation():
+    # Unsorted weights: solve_batch applies the encoding order and undoes it.
+    from uavwpt.channel import ChannelRealization
+    from uavwpt.rate import optimal_permutation
+    from uavwpt.solver import solve_batch, solve_power_allocation
+
+    h, _, budget = _batch(4, 3, seed=5)
+    weights = np.array([0.2, 0.4, 0.1, 0.3])
+    got = solve_batch(h, weights, SIGMA2, budget)
+    perm = optimal_permutation(weights)
+    for b in range(len(budget)):
+        one = solve_power_allocation(
+            ChannelRealization(h[b]), weights, perm, SIGMA2, float(budget[b])
+        )
+        want = (one.p, one.objective, one.iterations, one.kkt_residual, one.converged)
+        for g, w in zip(got, want):
+            assert np.asarray(g[b]).tobytes() == np.asarray(w).tobytes()
+
+
 def test_sweep_is_independent_of_the_chunk_size(monkeypatch):
     cfg = load_config(overrides=("ue.p_max=3", "sweep.p_cir=40,80", "solver.max_iter=9"))
     spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, 30, 5)

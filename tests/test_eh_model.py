@@ -146,6 +146,18 @@ def test_max_harvest_matches_mrt_composition():
     assert worst <= 1e-12
 
 
+def test_max_harvest_on_a_stack_matches_each_instance():
+    params = EhParams(A, 3.0, C)  # turning point where the curve is not flat
+    caps = np.array([3.0, 1.0, 2.0])
+    stack = []
+    for i in range(6):
+        rng = trial_rng(7, cell=0, trial=i)
+        stack.append(draw_channel(rng, draw_topology(rng, 3, 10.0, 20.0, 50.0, 2.5, 2.0), 2))
+    batched = max_harvest(params, caps, np.stack([ch.h for ch in stack]))
+    assert batched.shape == (6,)
+    assert batched.tolist() == [max_harvest(params, caps, ch) for ch in stack]
+
+
 def test_max_harvest_rejects_bad_caps():
     from uavwpt.channel import ChannelRealization
 

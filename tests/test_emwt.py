@@ -40,6 +40,15 @@ def test_compute_budget_arithmetic():
     assert compute_budget(10.0, 0.8, 75.0) == 0.0
 
 
+def test_compute_budget_on_an_array_matches_scalars():
+    p_out = np.array([100.0, 75.0, 10.0, 0.0])
+    budget = compute_budget(p_out, 0.8, 75.0)
+    assert budget.shape == p_out.shape
+    assert budget.tolist() == [compute_budget(float(v), 0.8, 75.0) for v in p_out]
+    with pytest.raises(ValueError):
+        compute_budget(np.array([1.0, -1.0]), 0.8, 40.0)
+
+
 def test_compute_budget_validation():
     with pytest.raises(ValueError):
         compute_budget(-1.0, 0.8, 40.0)
