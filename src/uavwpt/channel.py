@@ -13,6 +13,15 @@ All draws go through an explicit ``numpy.random.Generator``; there is no
 hidden global state.  Monte-Carlo code derives one PCG64 stream per
 (cell, trial) pair via :func:`trial_rng`, so trials are reproducible and
 order-independent.
+
+Part of the seed contract is the order in which one trial consumes its
+stream: K uniform horizontal distances (skipped when the topology is frozen
+and drawn once from :func:`topology_rng` instead), then K x N standard
+normals for the real and then K x N for the imaginary part of the uplink
+scatter, then, when the downlink gets its own draw, the same real and
+imaginary pair for it.  :func:`draw_topology` and :func:`draw_channel` make
+exactly these calls; a sweep makes the same calls into chunk arrays and
+builds all of a chunk's channels with one :func:`rician_channels` call.
 """
 
 from dataclasses import dataclass
@@ -117,11 +126,6 @@ class ChannelRealization:
     def n_antennas(self) -> int:
         return self.h.shape[1]
 
-    @property
-    def outer_products(self) -> np.ndarray:
-        """Rank-one Hermitian PSD matrices h_k h_k^H, shape (K, N, N)."""
-        return np.einsum("ki,kj->kij", self.h, self.h.conj())
-
 
 def draw_topology(
     rng: np.random.Generator,
@@ -144,24 +148,40 @@ def draw_channel(
     topology: Topology,
     n_antennas: int,
 ) -> ChannelRealization:
-    """Draw one Rician channel realization for every UE.
+    """Draw one Rician channel realization for every UE (see rician_channels)."""
+    if n_antennas < 1:
+        raise ValueError("need at least one antenna")
+    shape = (topology.n_ues, n_antennas)
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return ChannelRealization(
+        rician_channels(
+            topology.uav_height,
+            topology.ue_horizontal_distances,
+            topology.pathloss_exponent,
+            topology.rician_kappa,
+            re,
+            im,
+        )
+    )
+
+
+def rician_channels(height, horizontal, alpha, kappa, re, im) -> np.ndarray:
+    """Rician channel vectors from the raw normal draws, any leading shape.
 
     h_k = d_k^(-alpha/2) * ( sqrt(kappa/(kappa+1)) * 1 + sqrt(1/(kappa+1)) * g_k )
 
-    with g_k standard circularly-symmetric complex Gaussian, so the LoS and
-    scattered powers per antenna are kappa/(kappa+1)*d^-alpha and
-    1/(kappa+1)*d^-alpha.
+    with d_k the 3D distance at horizontal distance ``horizontal[..., k]`` and
+    g_k = (re[..., k, :] + j im[..., k, :]) / sqrt(2) standard
+    circularly-symmetric complex Gaussian, so the LoS and scattered powers
+    per antenna are kappa/(kappa+1)*d^-alpha and 1/(kappa+1)*d^-alpha.
+    ``horizontal`` (..., K) broadcasts against ``re`` and ``im`` (..., K, N).
+    The operations are elementwise, so a trial's channel is bitwise the same
+    whether it is built alone or in a stack.  Parameters are not validated:
+    callers pass a validated Topology or a checked config.
     """
-    if n_antennas < 1:
-        raise ValueError("need at least one antenna")
-    k_ues = topology.n_ues
-    kappa = topology.rician_kappa
-    amp = topology.link_distances ** (-topology.pathloss_exponent / 2.0)
-    re = rng.standard_normal((k_ues, n_antennas))
-    im = rng.standard_normal((k_ues, n_antennas))
+    amp = np.hypot(height, horizontal) ** (-alpha / 2.0)
     scatter = (re + 1j * im) / np.sqrt(2.0)
-    los = np.ones((k_ues, n_antennas))
-    h = amp[:, None] * (
-        np.sqrt(kappa / (kappa + 1.0)) * los + np.sqrt(1.0 / (kappa + 1.0)) * scatter
+    return amp[..., None] * (
+        np.sqrt(kappa / (kappa + 1.0)) + np.sqrt(1.0 / (kappa + 1.0)) * scatter
     )
-    return ChannelRealization(h)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import draw_channel, draw_topology, topology_rng, trial_rng
+from .channel import draw_channel, draw_topology, rician_channels, topology_rng, trial_rng
 from .config import ConfigError, defaults_text, load_config
 from .eh_model import max_harvest
 from .emwt import compute_budget, run_emwt
@@ -113,30 +113,58 @@ def _draw_trial(cfg, rng, frozen_topology):
 _CHUNK_TRIALS = 1024
 
 
+def _draw_chunk(cfg, seed, cell, start, stop, frozen_topology):
+    """Uplink and downlink channels of trials start..stop-1 of one cell.
+
+    Returns two (stop - start, K, N) arrays; the downlink is the uplink array
+    itself unless cfg.independent_dl.  Each trial's stream makes the calls
+    _draw_trial makes, in the same order, but writes its raw variates into
+    chunk arrays; the channels are then built in one rician_channels call,
+    so every row is bitwise _draw_trial's channel.
+    """
+    n_trials = stop - start
+    shape = (n_trials, cfg.n_ues, cfg.n_antennas)
+    # Real and imaginary uplink draws, then the downlink pair if any.
+    normals = np.empty((4 if cfg.independent_dl else 2, *shape))
+    if frozen_topology is None:
+        horizontal = np.empty((n_trials, cfg.n_ues))
+    else:
+        horizontal = frozen_topology.ue_horizontal_distances
+    for i, t in enumerate(range(start, stop)):
+        rng = trial_rng(seed, cell=cell, trial=t)
+        if frozen_topology is None:
+            horizontal[i] = rng.uniform(cfg.r_min, cfg.r_max, size=cfg.n_ues)
+        for draw in normals:
+            rng.standard_normal(out=draw[i])
+    channels = [
+        rician_channels(cfg.height, horizontal, cfg.alpha, cfg.kappa, re, im)
+        for re, im in zip(normals[0::2], normals[1::2])
+    ]
+    return channels[0], channels[-1]  # one array unless cfg.independent_dl
+
+
 def run_cell(cfg, spec: SweepSpec, cell_index: int, frozen_topology=None):
     """All trials of one sweep cell; returns (SweepRow, nonconverged count).
 
-    Each trial draws from its own stream, one after another; the uplink
-    harvest and the power allocation then run on whole chunks of trials.
-    Full-power MRT delivers |h_k^H w_k|^2 = p_max_k ||h_k||^2, so the
-    harvester input is computed in closed form without building beams.
+    Trials run in chunks of up to _CHUNK_TRIALS.  Each trial still draws from
+    its own stream, one after another, but only the generator calls stay per
+    trial: the variates go into chunk arrays and the chunk's channels are
+    built in one pass (_draw_chunk).  The uplink harvest and the power
+    allocation then run on the whole chunk.  Full-power MRT delivers
+    |h_k^H w_k|^2 = p_max_k ||h_k||^2, so the harvester input is computed in
+    closed form without building beams.  Every trial's result is bitwise
+    what the per-trial draw and solve give.
     """
     p_cir, c = spec.cells[cell_index]
     sys_cfg = cfg.system(circuit_power=p_cir, eh_c=c)
-    shape = (sys_cfg.n_ues, sys_cfg.n_antennas)
     throughputs = np.empty(spec.trials)
     budgets = np.empty(spec.trials)
     nonconverged = 0
     for start in range(0, spec.trials, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, spec.trials)
-        uplink = np.empty((stop - start, *shape), dtype=complex)
-        downlink = np.empty_like(uplink) if cfg.independent_dl else uplink
-        for i, t in enumerate(range(start, stop)):
-            rng = trial_rng(spec.seed, cell=cell_index, trial=t)
-            _, channels, dl = _draw_trial(cfg, rng, frozen_topology)
-            uplink[i] = channels.h
-            if dl is not None:
-                downlink[i] = dl.h
+        uplink, downlink = _draw_chunk(
+            cfg, spec.seed, cell_index, start, stop, frozen_topology
+        )
         budget = compute_budget(
             max_harvest(sys_cfg.eh, sys_cfg.p_max, uplink),
             sys_cfg.amp_efficiency,

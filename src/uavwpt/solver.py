@@ -100,8 +100,10 @@ def solve_power_allocation(
         raise ValueError("weights must be a length-K vector")
     if sorted(perm.tolist()) != list(range(k_ues)):
         raise ValueError(f"perm must be a permutation of 0..{k_ues - 1}")
-    if np.any(w < 0):
-        raise ValueError("throughput weights must be nonnegative")
+    if not np.all(np.isfinite(channels.h)):
+        raise ValueError("channel entries must be finite")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0)):
+        raise ValueError("throughput weights must be finite and nonnegative")
     if not sigma2 > 0:
         raise ValueError("noise power must be positive")
     if budget < 0:

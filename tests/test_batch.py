@@ -2,15 +2,19 @@
 
 ``solve_pga_batch`` runs projected-gradient ascent on all rows at once, so
 a row's result must not depend on which other rows share its batch or
-chunk.  Everything here is compared bit for bit.
+chunk.  The same holds for the sweep's chunked channel draw.  Everything
+here is compared bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uavwpt._kernels as kernels
 from uavwpt import cli
 from uavwpt._kernels import _ref
+from uavwpt.channel import trial_rng
 from uavwpt.cli import SweepSpec, format_csv, run_sweep
 from uavwpt.config import load_config
 
@@ -154,3 +158,45 @@ def test_nonconverged_warnings_unchanged():
         "cell p_cir=80 c=100: 5 of 30 trials did not converge",
         "cell p_cir=80 c=200: 16 of 30 trials did not converge",
     ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.sampled_from([1, 5, 16]),
+    n=st.sampled_from([1, 3, 8]),
+    kappa=st.sampled_from([0.0, 2.0]),
+    frozen=st.booleans(),
+    independent_dl=st.booleans(),
+    seed=st.integers(0, 2**63),
+    cell=st.integers(0, 17),
+    start=st.integers(0, 50),
+    n_trials=st.integers(1, 20),
+)
+def test_chunked_draw_equals_per_trial_draws(
+    k, n, kappa, frozen, independent_dl, seed, cell, start, n_trials
+):
+    cfg = load_config(
+        overrides=(
+            f"ue.count={k}",
+            f"ue.antennas={n}",
+            "ue.weights=1",
+            f"channel.kappa={kappa}",
+            f"topology.frozen={str(frozen).lower()}",
+            f"channel.independent_dl={str(independent_dl).lower()}",
+        )
+    )
+    frozen_topology = cli._frozen_topology(cfg, seed)
+    stop = start + n_trials
+    uplink, downlink = cli._draw_chunk(cfg, seed, cell, start, stop, frozen_topology)
+
+    trials = [
+        cli._draw_trial(cfg, trial_rng(seed, cell=cell, trial=t), frozen_topology)
+        for t in range(start, stop)
+    ]
+    want_up = np.stack([up.h for _, up, _ in trials])
+    want_down = np.stack([(up if down is None else down).h for _, up, down in trials])
+    for got, want in ((uplink, want_up), (downlink, want_down)):
+        assert got.shape == want.shape == (n_trials, k, n)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert (downlink is uplink) == (not independent_dl)

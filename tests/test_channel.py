@@ -97,7 +97,7 @@ def test_channel_realization_invariants():
     topo = draw_topology(rng, 4, 10.0, 20.0, 50.0, 2.5, 2.0)
     ch = draw_channel(rng, topo, 3)
     assert ch.h.shape == (4, 3)
-    outer = ch.outer_products
+    outer = np.einsum("ki,kj->kij", ch.h, ch.h.conj())  # h_k h_k^H
     for k in range(4):
         hk = ch.h[k]
         assert np.allclose(outer[k], outer[k].conj().T)  # Hermitian

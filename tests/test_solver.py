@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uavwpt.channel import draw_channel, draw_topology, trial_rng
+from uavwpt.channel import ChannelRealization, draw_channel, draw_topology, trial_rng
 from uavwpt.rate import (
     dual_weighted_rate,
     objective_gradient,
@@ -227,3 +227,17 @@ def test_solver_input_validation():
         solve_power_allocation(channels, [0.5, 0.5], [0, 1], 0.0, 10.0)
     with pytest.raises(ValueError):
         solve_power_allocation(channels, [0.5, 0.5], [0, 1], SIGMA2, -1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.nan)])
+def test_solver_rejects_non_finite_channels(bad):
+    channels = ChannelRealization([[bad, 0.1], [0.2, 0.3]])
+    with pytest.raises(ValueError, match="channel entries must be finite"):
+        solve_power_allocation(channels, [0.6, 0.4], [0, 1], SIGMA2, 5.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solver_rejects_non_finite_weights(bad):
+    channels = ChannelRealization([[0.4, 0.1], [0.2, 0.3]])
+    with pytest.raises(ValueError, match="weights must be finite"):
+        solve_power_allocation(channels, [0.6, bad], [0, 1], SIGMA2, 5.0)
