@@ -4,8 +4,11 @@ Usage: python3 benchmarks/bench_kernels.py [n_solves]
 
 Draws a batch of seeded random downlink instances and solves each with both
 backends, reporting per-solve wall time and the worst cross-backend
-disagreement on the objective.  The compiled module is optional; if it is
-missing only the reference numbers are printed.
+disagreement on the objective.  The pure-NumPy backend also solves all
+instances in one ``solve_pga_batch`` call, as sweeps do; for both of its
+entries the script reports µs per solve and Cholesky factorisations per
+solve (counted in an untimed pass).  The compiled module is optional; if it
+is missing only the reference numbers are printed.
 """
 
 import sys
@@ -38,16 +41,43 @@ def make_instances(count, n_ues=5, n_antennas=3, seed=20240817):
     return instances
 
 
+SETTINGS = (1e-8, 1e-6, 10_000, 1e-4, 0.5)  # tol, kkt_tol, max_iter, armijo, shrink
+
+
 def run(backend, instances):
     results = []
     start = time.perf_counter()
     for hp, dw, budget in instances:
-        p, f, iters, kkt, conv = backend.solve_pga(
-            hp, dw, 0.001, budget, 1e-8, 1e-6, 10_000, 1e-4, 0.5
-        )
+        p, f, iters, kkt, conv = backend.solve_pga(hp, dw, 0.001, budget, *SETTINGS)
         results.append((f, iters, conv))
     elapsed = time.perf_counter() - start
     return elapsed, results
+
+
+def run_batch(instances):
+    h, dw, budget = (np.stack(column) for column in zip(*instances))
+    start = time.perf_counter()
+    _, f, iters, _, conv = _ref.solve_pga_batch(h, dw, 0.001, budget, *SETTINGS)
+    elapsed = time.perf_counter() - start
+    return elapsed, list(zip(f.tolist(), iters.tolist(), conv.tolist()))
+
+
+def factorisations(solve):
+    """Cholesky factorisations ``solve()`` makes, counting each stacked matrix."""
+    real = _ref._cholesky
+    count = 0
+
+    def counting(acc):
+        nonlocal count
+        count += acc.shape[0]
+        return real(acc)
+
+    _ref._cholesky = counting
+    try:
+        solve()
+    finally:
+        _ref._cholesky = real
+    return count
 
 
 def main():
@@ -56,13 +86,19 @@ def main():
 
     t_ref, r_ref = run(_ref, instances)
     iters = np.array([it for _, it, _ in r_ref])
-    print(f"python backend : {t_ref:8.3f} s total, {t_ref / count * 1e3:7.3f} ms/solve, "
+    print(f"python backend : {t_ref:8.3f} s total, {t_ref / count * 1e6:9.1f} us/solve, "
+          f"{factorisations(lambda: run(_ref, instances)) / count:5.1f} factorisations/solve, "
           f"median iterations {int(np.median(iters))}")
+    t_batch, r_batch = run_batch(instances)
+    print(f"python batch   : {t_batch:8.3f} s total, {t_batch / count * 1e6:9.1f} us/solve, "
+          f"{factorisations(lambda: run_batch(instances)) / count:5.1f} factorisations/solve")
+    if r_batch != r_ref:
+        print("WARNING: batch rows differ from the single solves")
     if _fast is None:
         print("cython backend : not built")
         return
     t_fast, r_fast = run(_fast, instances)
-    print(f"cython backend : {t_fast:8.3f} s total, {t_fast / count * 1e3:7.3f} ms/solve, "
+    print(f"cython backend : {t_fast:8.3f} s total, {t_fast / count * 1e6:9.1f} us/solve, "
           f"speedup x{t_ref / t_fast:.1f}")
     gap = max(
         abs(a - b) / max(abs(a), 1e-12)

@@ -49,11 +49,23 @@ def _batched(fn):
     return kernel
 
 
-def _factors(h, p, sigma2):
-    """Cholesky factors L_k of A_k = I + sum_{n<=k} (p[n]/sigma2) h_n h_n^H, (B, K, N, N)."""
+def _invariants(h, dw):
+    """Per-row data every evaluation at a new p reuses, as a tuple of (B, ...) arrays.
+
+    The outer products h_n h_n^H (B, K, N, N), the right-hand side h^T of
+    the gradient's solve (B, 1, N, K), the (k, m) mask of the gradient terms
+    that count (m <= k and dw[k] != 0), and dw itself.
+    """
     outer = h[..., :, None] * h.conj()[..., None, :]
+    users = np.arange(h.shape[1])
+    lower = np.greater_equal.outer(users, users) & (dw != 0.0)[:, :, None]
+    return outer, np.swapaxes(h, -1, -2)[:, None], lower, dw
+
+
+def _factors(outer, p, sigma2, eye):
+    """Cholesky factors L_k of A_k = I + sum_{n<=k} (p[n]/sigma2) h_n h_n^H, (B, K, N, N)."""
     acc = (p / sigma2)[..., None, None] * outer
-    acc[:, 0] += np.eye(h.shape[-1])
+    acc[:, 0] += eye
     return _cholesky(np.add.accumulate(acc, axis=1))
 
 
@@ -64,30 +76,34 @@ def _weighted_logdets(dw, chol):
     return np.add.accumulate(dw * 2.0 * logdet, axis=1)[:, -1] + 0.0
 
 
-@_batched
-def dual_objective(h, dw, p, sigma2):
-    """sum_k dw[k] * logdet(I + sum_{n<=k} (p[n]/sigma2) h_n h_n^H)."""
-    return _weighted_logdets(dw, _factors(h, p, sigma2))
-
-
-@_batched
-def dual_objective_grad(h, dw, p, sigma2):
-    """Objective and its gradient w.r.t. p (both in permuted order)."""
-    chol = _factors(h, p, sigma2)
+def _value_grad(outer, rhs, lower, dw, p, sigma2, eye):
+    """Objective and gradient at p from one factorisation; the arguments before p are _invariants."""
+    chol = _factors(outer, p, sigma2, eye)
     # d logdet(A_k)/d p[m] = h_m^H A_k^{-1} h_m / sigma2 = ||L_k^{-1} h_m||^2 / sigma2,
     # for every (k, m) pair from one stacked solve; only m <= k is used.
-    sol = np.linalg.solve(chol, np.swapaxes(h, -1, -2)[:, None])
+    sol = np.linalg.solve(chol, rhs)
     sq = np.abs(sol) ** 2                          # (B, K, N, K): row k, antenna, column m
     # Antenna sums in antenna order, except user 0's own column, which is one
     # vector sum (pairwise once N >= 8): the orders of the user-by-user
     # evaluation, so results keep their bits at every N.
     quad = np.add.accumulate(sq, axis=2)[:, :, -1]
     quad[:, 0, 0] = np.add.reduce(np.ascontiguousarray(sq[:, 0, :, 0]), axis=-1)
-    users = np.arange(h.shape[1])
-    lower = np.greater_equal.outer(users, users) & (dw != 0.0)[:, :, None]
     terms = np.where(lower, dw[:, :, None] * quad / sigma2, 0.0)
     grad = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
     return _weighted_logdets(dw, chol), grad
+
+
+@_batched
+def dual_objective(h, dw, p, sigma2):
+    """sum_k dw[k] * logdet(I + sum_{n<=k} (p[n]/sigma2) h_n h_n^H)."""
+    outer = _invariants(h, dw)[0]
+    return _weighted_logdets(dw, _factors(outer, p, sigma2, np.eye(h.shape[-1])))
+
+
+@_batched
+def dual_objective_grad(h, dw, p, sigma2):
+    """Objective and its gradient w.r.t. p (both in permuted order)."""
+    return _value_grad(*_invariants(h, dw), p, sigma2, np.eye(h.shape[-1]))
 
 
 def project_simplex(v, budget):
@@ -165,8 +181,10 @@ def solve_pga_batch(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrin
     [1e-30, 1e30]); when the curvature estimate is unusable it falls back to
     doubling the last accepted step, capped at the budget.  Each row keeps
     its own iterate, step, backtracking and stop test; only rows still
-    running are evaluated.  Deterministic: fixed uniform start, no
-    randomness.
+    running are evaluated.  Each trial point gets one evaluation, value and
+    gradient from one factorisation, and an accepted point keeps that
+    gradient, so a solve factorises 1 + (number of trial points) times.
+    Deterministic: fixed uniform start, no randomness.
     """
     h = np.asarray(h, dtype=complex)
     dw = np.asarray(dw, dtype=float)
@@ -183,24 +201,26 @@ def solve_pga_batch(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrin
     if rows.size == 0:
         return p_out, f_out, it_out, kkt_out, conv_out
 
-    h, dw, cap = h[rows], dw[rows], budget[rows]
+    inv, cap = _invariants(h[rows], dw[rows]), budget[rows]
+    eye = np.eye(h.shape[-1])
     eps_act = 1e-9 * cap
     p = np.repeat((cap / k_ues)[:, None], k_ues, axis=1)
-    f, g = dual_objective_grad(h, dw, p, sigma2)
+    f, g = _value_grad(*inv, p, sigma2, eye)
     kkt = kkt_residual(p, g, cap, eps_act)
     step = cap.copy()
 
     def finish(done, iterations, converged):
         """Write the rows flagged in ``done`` back and drop them from the state."""
-        nonlocal rows, h, dw, cap, eps_act, p, f, g, kkt, step
+        nonlocal rows, inv, cap, eps_act, p, f, g, kkt, step
         if not done.any():
             return
         where = rows[done]
         p_out[where], f_out[where], kkt_out[where] = p[done], f[done], kkt[done]
         it_out[where], conv_out[where] = iterations, converged
         keep = ~done
-        rows, h, dw, cap, eps_act = rows[keep], h[keep], dw[keep], cap[keep], eps_act[keep]
-        p, f, g, kkt, step = p[keep], f[keep], g[keep], kkt[keep], step[keep]
+        rows, inv = rows[keep], tuple(a[keep] for a in inv)
+        cap, eps_act, p, f, g = cap[keep], eps_act[keep], p[keep], f[keep], g[keep]
+        kkt, step = kkt[keep], step[keep]
 
     finish(kkt <= kkt_tol, 0, True)
     iteration = 0
@@ -208,36 +228,38 @@ def solve_pga_batch(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrin
         if rows.size == 0:
             break
         t = step.copy()
-        cand = p.copy()
-        f_cand = f.copy()
+        cand, f_cand, g_cand = np.empty_like(p), np.empty_like(f), np.empty_like(g)
         accepted = np.zeros(rows.size, dtype=bool)
-        search = np.arange(rows.size)
+        # Rows still searching: all of them (a slice, so nothing is copied)
+        # for the first trial step, then the indices of the rejected ones.
+        search = slice(None)
         for _ in range(_MAX_BACKTRACK):
             trial = project_simplex(p[search] + t[search, None] * g[search], cap[search])
             ascent = np.vecdot(g[search], trial - p[search])
             up = ascent > 0.0
-            # Rows with no ascent left stop searching without a step.
-            search, trial, ascent = search[up], trial[up], ascent[up]
-            if search.size == 0:
-                break
-            value = dual_objective(h[search], dw[search], trial, sigma2)
-            cand[search], f_cand[search] = trial, value
+            if not up.all():
+                # Rows with no ascent left stop searching without a step.
+                search = np.arange(rows.size)[search][up]
+                trial, ascent = trial[up], ascent[up]
+                if search.size == 0:
+                    break
+            value, grad = _value_grad(*(a[search] for a in inv), trial, sigma2, eye)
+            cand[search], f_cand[search], g_cand[search] = trial, value, grad
             ok = value >= f[search] + armijo * ascent
-            accepted[search[ok]] = True
-            search = search[~ok]
-            if search.size == 0:
+            accepted[search] = ok
+            if ok.all():
                 break
+            search = np.arange(rows.size)[search][~ok]
             t[search] *= shrink
         # No ascent left at any step length: numerically stationary.
         finish(~accepted, iteration, kkt[~accepted] <= kkt_tol)
-        t, cand, f_cand = t[accepted], cand[accepted], f_cand[accepted]
         if rows.size == 0:
             break
+        t, cand, f_cand, g_cand = t[accepted], cand[accepted], f_cand[accepted], g_cand[accepted]
         rel_change = np.abs(f_cand - f) / np.maximum(np.abs(f_cand), 1e-300)
         s = cand - p
         g_prev = g
-        p = cand
-        f, g = dual_objective_grad(h, dw, p, sigma2)
+        p, f, g = cand, f_cand, g_cand
         kkt = kkt_residual(p, g, cap, eps_act)
         curvature = np.vecdot(s, g_prev) - np.vecdot(s, g)
         usable = curvature > 0.0

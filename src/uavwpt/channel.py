@@ -14,6 +14,17 @@ hidden global state.  Monte-Carlo code derives one PCG64 stream per
 (cell, trial) pair via :func:`trial_rng`, so trials are reproducible and
 order-independent.
 
+A sweep does not build a ``SeedSequence`` and a ``PCG64`` per trial.
+:func:`trial_states` computes the PCG64 states of a whole chunk of trials
+at once and the sweep loads each into one reused generator.  The states are
+bitwise those :func:`trial_rng` seeds, because they come from the same
+integer arithmetic: numpy's ``SeedSequence`` hash (O'Neill's seed_seq_fe,
+https://www.pcg-random.org/posts/developing-a-seed_seq-alternative.html)
+and PCG64's seeding step.  numpy keeps both fixed under its stream
+compatibility policy (NEP 19), and a test compares the two paths bit for
+bit, so a change on numpy's side fails loudly rather than moving the
+outputs.
+
 Part of the seed contract is the order in which one trial consumes its
 stream: K uniform horizontal distances (skipped when the topology is frozen
 and drawn once from :func:`topology_rng` instead), then K x N standard
@@ -43,6 +54,76 @@ def trial_rng(seed: int, cell: int = 0, trial: int = 0) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(seed, spawn_key=(cell, trial))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+# numpy's SeedSequence hash (a pool of four uint32 words) and PCG64's
+# 128-bit LCG multiplier.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash(values, hash_const, mult):
+    """One step of the SeedSequence hash on uint32 ``values``; returns (hashed, next constant)."""
+    next_const = hash_const * mult & _MASK32
+    values = (values ^ np.uint32(hash_const)) * np.uint32(next_const)
+    return values ^ (values >> np.uint32(16)), next_const
+
+
+def _n_words(value: int) -> int:
+    """Number of uint32 words SeedSequence makes of a nonnegative int (0 is one word)."""
+    return max(1, -(-value.bit_length() // 32))
+
+
+def trial_states(seed: int, cell: int, trials) -> list:
+    """PCG64 states of :func:`trial_rng` for many trials of one cell.
+
+    Returns, for each t in ``trials`` (ints in [0, 2**64)), a dict equal to
+    ``PCG64(SeedSequence(seed, spawn_key=(cell, t))).state``, computed in one
+    vectorised pass; assigning it to a PCG64's ``state`` gives that stream.
+    The SeedSequence hash reads the seed's uint32 words (zero-padded to the
+    pool size), then the cell's, then the trial's, and its multipliers
+    advance independently of the data.  So the pool after the seed and cell
+    words is the pool of the parent sequence
+    ``SeedSequence(seed, spawn_key=(cell,))``, shared by every trial, and
+    only the trial words are mixed per trial.
+    """
+    trials = np.asarray(trials, dtype=np.uint64)
+    pool = np.repeat(np.random.SeedSequence(seed, spawn_key=(cell,)).pool[None], trials.size, 0)
+    # By then the hash constant has stepped _POOL_SIZE times per entropy word:
+    # filling and cross-mixing the pool take 4 + 12 steps for the first four.
+    prefix_words = max(_POOL_SIZE, _n_words(seed)) + _n_words(cell)
+    hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * prefix_words, 1 << 32) & _MASK32
+    low = (trials & np.uint64(_MASK32)).astype(np.uint32)
+    high = (trials >> np.uint64(32)).astype(np.uint32)
+    for word, rows in ((low, slice(None)), (high, high != 0)):  # trials >= 2**32 have two words
+        for i in range(_POOL_SIZE):
+            mixed, hash_const = _hash(word[rows], hash_const, _MULT_A)
+            mix = np.uint32(_MIX_MULT_L) * pool[rows, i] - np.uint32(_MIX_MULT_R) * mixed
+            pool[rows, i] = mix ^ (mix >> np.uint32(16))
+    # generate_state(4, uint64): eight uint32 outputs read the pool cyclically
+    # and pair up little-endian into (initstate_hi, initstate_lo, initseq_hi, initseq_lo).
+    out = np.empty((trials.size, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        out[:, i], hash_const = _hash(pool[:, i % _POOL_SIZE], hash_const, _MULT_B)
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in out.astype("<u4").view("<u8").tolist():
+        # PCG64 seeding: two LCG steps from state 0 with inc = 2 * initseq + 1.
+        inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
 
 
 def topology_rng(seed: int) -> np.random.Generator:
@@ -92,11 +173,6 @@ class Topology:
     @property
     def n_ues(self) -> int:
         return self.ue_horizontal_distances.size
-
-    @property
-    def link_distances(self) -> np.ndarray:
-        """3D UAV-to-UE distances (m)."""
-        return np.hypot(self.uav_height, self.ue_horizontal_distances)
 
 
 @dataclass(frozen=True)

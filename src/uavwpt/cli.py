@@ -21,7 +21,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import draw_channel, draw_topology, rician_channels, topology_rng, trial_rng
+from .channel import (
+    draw_channel,
+    draw_topology,
+    rician_channels,
+    topology_rng,
+    trial_rng,
+    trial_states,
+)
 from .config import ConfigError, defaults_text, load_config
 from .eh_model import max_harvest
 from .emwt import compute_budget, run_emwt
@@ -52,7 +59,7 @@ class SweepSpec:
         return [(p, c) for p in self.p_cir_values for c in self.c_values]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """Aggregated Monte-Carlo statistics for one (p_cir, c) cell."""
 
@@ -120,7 +127,8 @@ def _draw_chunk(cfg, seed, cell, start, stop, frozen_topology):
     itself unless cfg.independent_dl.  Each trial's stream makes the calls
     _draw_trial makes, in the same order, but writes its raw variates into
     chunk arrays; the channels are then built in one rician_channels call,
-    so every row is bitwise _draw_trial's channel.
+    so every row is bitwise _draw_trial's channel.  The streams are
+    trial_rng's, loaded by state into one generator (see trial_states).
     """
     n_trials = stop - start
     shape = (n_trials, cfg.n_ues, cfg.n_antennas)
@@ -130,8 +138,11 @@ def _draw_chunk(cfg, seed, cell, start, stop, frozen_topology):
         horizontal = np.empty((n_trials, cfg.n_ues))
     else:
         horizontal = frozen_topology.ue_horizontal_distances
-    for i, t in enumerate(range(start, stop)):
-        rng = trial_rng(seed, cell=cell, trial=t)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    trials = np.arange(start, stop, dtype=np.uint64)
+    for i, state in enumerate(trial_states(seed, cell, trials)):
+        bit_generator.state = state
         if frozen_topology is None:
             horizontal[i] = rng.uniform(cfg.r_min, cfg.r_max, size=cfg.n_ues)
         for draw in normals:

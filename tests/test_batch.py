@@ -82,6 +82,94 @@ def test_rows_alone_mixed_and_chunked_agree(k, n, max_iter):
         assert isinstance(one[4], bool)
 
 
+def _first_step(h, dw, cap):
+    """How the first line search of a lone solve starts: the budget-sized step is
+    accepted, rejected (the row backtracks) or gives no ascent."""
+    p = np.full(dw.size, cap / dw.size)
+    f, g = _ref.dual_objective_grad(h, dw, p, SIGMA2)
+    trial = _ref.project_simplex(p + cap * g, cap)
+    ascent = g @ (trial - p)
+    if not ascent > 0.0:
+        return "no ascent"
+    value = _ref.dual_objective(h, dw, trial, SIGMA2)
+    return "accept" if value >= f + LINE_SEARCH[0] * ascent else "backtrack"
+
+
+def _line_search_batch():
+    """Rows whose first step is accepted, rows that backtrack, and a zero budget.
+
+    The even rows have orthogonal channels and tied weights, with SNRs high
+    enough that the budget-sized first step overshoots the interior optimum.
+    """
+    rng = np.random.default_rng(7)
+    k = n = 3
+    h = np.empty((6, k, n), dtype=complex)
+    dw = np.empty((6, k))
+    for b in range(6):
+        if b % 2 == 0:
+            h[b] = np.diag(np.sqrt([0.01, 0.008, 0.006])) * np.exp(1j * rng.uniform(0, 6, 3))
+            dw[b] = [0.0, 0.0, 0.6]
+        else:
+            h[b] = 0.03 * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+            w = np.sort(rng.uniform(0.05, 1.0, k))[::-1]
+            dw[b] = np.append(w[:-1] - w[1:], w[-1])
+    return h, dw, np.array([0.5, 0.0, 0.2, 48.0, 1.0, 0.3])
+
+
+@pytest.mark.parametrize("kkt_tol", [1e-6, 0.0])
+def test_line_search_outcomes_mixed_in_one_batch(kkt_tol):
+    # With kkt_tol=0 rows run until a line search finds no ascent.
+    h, dw, budget = _line_search_batch()
+    starts = {_first_step(h[b], dw[b], budget[b]) for b in range(len(budget)) if budget[b]}
+    assert {"accept", "backtrack"} <= starts
+    args = (SIGMA2, ARGS[0], kkt_tol, 500, *LINE_SEARCH)
+    mixed = _ref.solve_pga_batch(h, dw, args[0], budget, *args[1:])
+    alone = [_ref.solve_pga(h[b], dw[b], args[0], budget[b], *args[1:]) for b in range(6)]
+    for b, one in enumerate(alone):
+        _assert_rows_equal([np.asarray(v) for v in one], [col[b] for col in mixed], b)
+    if kkt_tol == 0.0:
+        # Stopped early without converging: the last line search had no ascent.
+        assert sum(not conv and it < 500 for _, _, it, _, conv in alone) >= 3
+
+
+def test_line_search_that_never_accepts_stops_at_the_start():
+    # No trial step meets an infinite sufficient-increase constant, so every
+    # row backtracks until the search gives up or runs out of ascent.
+    h, dw, budget = _line_search_batch()
+    p, _, it, _, conv = _ref.solve_pga_batch(h, dw, SIGMA2, budget, *ARGS, 50, np.inf, 0.5)
+    live = budget > 0
+    assert np.all(it[live] == 1) and not np.any(conv[live])
+    assert np.all(p[live] == (budget[live] / 3)[:, None])
+
+
+def test_each_trial_point_is_factorised_once(monkeypatch):
+    h, dw, budget = _line_search_batch()
+    h, dw, cap = h[0], dw[0], budget[0]
+    max_iter = 6
+    # kkt_tol=0 never holds here, so the solve runs max_iter iterations; a
+    # longer run going further shows that none of them ran out of ascent, so
+    # every projected point was a trial point.
+    assert _ref.solve_pga(h, dw, SIGMA2, cap, 1e-8, 0.0, max_iter + 1, *LINE_SEARCH)[2] == (
+        max_iter + 1
+    )
+    counts = {"factorised": 0, "projected": 0}
+
+    def cholesky(acc, _real=_ref._cholesky):
+        counts["factorised"] += acc.shape[0]
+        return _real(acc)
+
+    def project_simplex(v, budget, _real=_ref.project_simplex):
+        counts["projected"] += v.shape[0]
+        return _real(v, budget)
+
+    monkeypatch.setattr(_ref, "_cholesky", cholesky)
+    monkeypatch.setattr(_ref, "project_simplex", project_simplex)
+    out = _ref.solve_pga(h, dw, SIGMA2, cap, 1e-8, 0.0, max_iter, *LINE_SEARCH)
+    assert out[2] == max_iter and not out[4]
+    assert counts["projected"] > max_iter  # some trial points were rejected
+    assert counts["factorised"] == 1 + counts["projected"]
+
+
 def test_zero_budget_rows_are_trivially_optimal():
     h, dw, budget = _batch(5, 3, seed=1)
     p, f, it, kkt, conv = _solve(h, dw, budget, 10_000)
@@ -169,7 +257,7 @@ def test_nonconverged_warnings_unchanged():
     independent_dl=st.booleans(),
     seed=st.integers(0, 2**63),
     cell=st.integers(0, 17),
-    start=st.integers(0, 50),
+    start=st.one_of(st.integers(0, 50), st.integers(2**32 - 20, 2**32 + 20)),
     n_trials=st.integers(1, 20),
 )
 def test_chunked_draw_equals_per_trial_draws(

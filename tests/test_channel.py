@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavwpt.channel import (
     ChannelRealization,
@@ -14,6 +16,7 @@ from uavwpt.channel import (
     pathloss_gain,
     topology_rng,
     trial_rng,
+    trial_states,
 )
 
 LINK_50_15 = 52.20153254455275  # sqrt(50^2 + 15^2) via stdlib math
@@ -44,8 +47,9 @@ def test_pathloss_gain_values():
 def test_topology_validation_and_distances():
     topo = Topology(50.0, np.array([0.0, 15.0]), 2.5, 2.0)
     assert topo.n_ues == 2
-    assert topo.link_distances[0] == 50.0
-    assert topo.link_distances[1] == pytest.approx(LINK_50_15, rel=1e-15)
+    distances = np.hypot(topo.uav_height, topo.ue_horizontal_distances)
+    assert distances[0] == 50.0
+    assert distances[1] == pytest.approx(LINK_50_15, rel=1e-15)
     with pytest.raises(ValueError):
         Topology(0.0, np.array([10.0]), 2.5, 2.0)
     with pytest.raises(ValueError):
@@ -68,7 +72,7 @@ def test_topology_is_immutable_and_copies():
 def test_empty_topology_is_valid():
     topo = draw_topology(trial_rng(1), 0, 10.0, 20.0, 50.0, 2.5, 2.0)
     assert topo.n_ues == 0
-    assert topo.link_distances.size == 0
+    assert np.hypot(topo.uav_height, topo.ue_horizontal_distances).size == 0
 
 
 def test_draw_topology_degenerate_interval():
@@ -172,3 +176,39 @@ def test_scatter_power_split():
     fluct = ch.h - los
     var = float(np.mean(np.abs(fluct) ** 2))
     assert var == pytest.approx(gain / (kappa + 1.0), rel=0.05)
+
+
+# SeedSequence splits ints into uint32 words and zero-pads the seed to four
+# words, so the cases differ in word counts: seed 0, one word, two or more,
+# and more words than the pool holds; keys of one and two words.
+_SEEDS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**128 - 1),
+    st.integers(2**128, 2**200),
+)
+_KEYS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+
+
+def _assert_stream_is(state, want_rng):
+    assert state == want_rng.bit_generator.state
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = state
+    got = np.random.Generator(bit_generator)
+    for draw in ("uniform", "standard_normal", "random"):
+        assert getattr(got, draw)(size=7).tobytes() == getattr(want_rng, draw)(size=7).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, cell=_KEYS, trials=st.lists(_KEYS, max_size=6))
+def test_trial_states_are_the_trial_rng_streams(seed, cell, trials):
+    states = trial_states(seed, cell, trials)
+    assert len(states) == len(trials)
+    for t, state in zip(trials, states):
+        _assert_stream_is(state, trial_rng(seed, cell=cell, trial=t))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 1, 2**130 + 3])
+def test_trial_states_of_the_reserved_topology_key(seed):
+    (state,) = trial_states(seed, 0xFFFFFFFF, [0xFFFFFFFF])
+    _assert_stream_is(state, topology_rng(seed))

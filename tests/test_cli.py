@@ -182,3 +182,16 @@ def test_format_csv_shapes_floats():
     row = SweepRow(40.0, 100.0, 1.0 / 3.0, 0.0, 48.0, 0.0)
     text = format_csv([row])
     assert text == f"{CSV_HEADER}\n40,100,0.333333333333,0,48,0\n"
+
+
+def test_sweep_rows_carry_no_instance_dict_and_pickle():
+    # Callers that keep many sweeps pay for every row's size.
+    import pickle
+    from dataclasses import replace
+
+    from uavwpt.cli import SweepRow
+
+    row = SweepRow(40.0, 100.0, 1.0 / 3.0, 0.0, 48.0, 0.0)
+    assert not hasattr(row, "__dict__")
+    assert pickle.loads(pickle.dumps(row)) == row
+    assert replace(row, c=200.0).c == 200.0
