@@ -66,7 +66,7 @@ def _factors(outer, p, sigma2, eye):
     """Cholesky factors L_k of A_k = I + sum_{n<=k} (p[n]/sigma2) h_n h_n^H, (B, K, N, N)."""
     acc = (p / sigma2)[..., None, None] * outer
     acc[:, 0] += eye
-    return _cholesky(np.add.accumulate(acc, axis=1))
+    return _cholesky(np.add.accumulate(acc, axis=1, out=acc))
 
 
 def _weighted_logdets(dw, chol):
@@ -76,13 +76,22 @@ def _weighted_logdets(dw, chol):
     return np.add.accumulate(dw * 2.0 * logdet, axis=1)[:, -1] + 0.0
 
 
-def _value_grad(outer, rhs, lower, dw, p, sigma2, eye):
-    """Objective and gradient at p from one factorisation; the arguments before p are _invariants."""
-    chol = _factors(outer, p, sigma2, eye)
+def _value_grad(inv, rows, p, sigma2, eye):
+    """Objective and gradient at p from one factorisation.
+
+    ``inv`` is _invariants of a batch and ``rows`` (a slice or indices)
+    picks the rows p belongs to.  A copy of the picked outer products lives
+    only while the factors are built, not through the solve below.
+    """
+    outer, rhs, lower, dw = inv
+    chol = _factors(outer[rows], p, sigma2, eye)
+    rhs, lower, dw = rhs[rows], lower[rows], dw[rows]
     # d logdet(A_k)/d p[m] = h_m^H A_k^{-1} h_m / sigma2 = ||L_k^{-1} h_m||^2 / sigma2,
     # for every (k, m) pair from one stacked solve; only m <= k is used.
-    sol = np.linalg.solve(chol, rhs)
-    sq = np.abs(sol) ** 2                          # (B, K, N, K): row k, antenna, column m
+    # (B, K, N, K): row k, antenna, column m.  Squared in place, so the
+    # complex solution is freed before the sums below.
+    sq = np.abs(np.linalg.solve(chol, rhs))
+    sq **= 2
     # Antenna sums in antenna order, except user 0's own column, which is one
     # vector sum (pairwise once N >= 8): the orders of the user-by-user
     # evaluation, so results keep their bits at every N.
@@ -103,7 +112,7 @@ def dual_objective(h, dw, p, sigma2):
 @_batched
 def dual_objective_grad(h, dw, p, sigma2):
     """Objective and its gradient w.r.t. p (both in permuted order)."""
-    return _value_grad(*_invariants(h, dw), p, sigma2, np.eye(h.shape[-1]))
+    return _value_grad(_invariants(h, dw), slice(None), p, sigma2, np.eye(h.shape[-1]))
 
 
 def project_simplex(v, budget):
@@ -205,7 +214,7 @@ def solve_pga_batch(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrin
     eye = np.eye(h.shape[-1])
     eps_act = 1e-9 * cap
     p = np.repeat((cap / k_ues)[:, None], k_ues, axis=1)
-    f, g = _value_grad(*inv, p, sigma2, eye)
+    f, g = _value_grad(inv, slice(None), p, sigma2, eye)
     kkt = kkt_residual(p, g, cap, eps_act)
     step = cap.copy()
 
@@ -243,7 +252,7 @@ def solve_pga_batch(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrin
                 trial, ascent = trial[up], ascent[up]
                 if search.size == 0:
                     break
-            value, grad = _value_grad(*(a[search] for a in inv), trial, sigma2, eye)
+            value, grad = _value_grad(inv, search, trial, sigma2, eye)
             cand[search], f_cand[search], g_cand[search] = trial, value, grad
             ok = value >= f[search] + armijo * ascent
             accepted[search] = ok
