@@ -122,9 +122,9 @@ def test_line_search_outcomes_mixed_in_one_batch(kkt_tol):
     h, dw, budget = _line_search_batch()
     starts = {_first_step(h[b], dw[b], budget[b]) for b in range(len(budget)) if budget[b]}
     assert {"accept", "backtrack"} <= starts
-    args = (SIGMA2, ARGS[0], kkt_tol, 500, *LINE_SEARCH)
-    mixed = _ref.solve_pga_batch(h, dw, args[0], budget, *args[1:])
-    alone = [_ref.solve_pga(h[b], dw[b], args[0], budget[b], *args[1:]) for b in range(6)]
+    tols = (ARGS[0], kkt_tol, 500, *LINE_SEARCH)
+    mixed = _ref.solve_pga_batch(h, dw, SIGMA2, budget, *tols)
+    alone = [_ref.solve_pga(h[b], dw[b], SIGMA2, budget[b], *tols) for b in range(6)]
     for b, one in enumerate(alone):
         _assert_rows_equal([np.asarray(v) for v in one], [col[b] for col in mixed], b)
     if kkt_tol == 0.0:
@@ -149,9 +149,8 @@ def test_each_trial_point_is_factorised_once(monkeypatch):
     # kkt_tol=0 never holds here, so the solve runs max_iter iterations; a
     # longer run going further shows that none of them ran out of ascent, so
     # every projected point was a trial point.
-    assert _ref.solve_pga(h, dw, SIGMA2, cap, 1e-8, 0.0, max_iter + 1, *LINE_SEARCH)[2] == (
-        max_iter + 1
-    )
+    longer = _ref.solve_pga(h, dw, SIGMA2, cap, ARGS[0], 0.0, max_iter + 1, *LINE_SEARCH)
+    assert longer[2] == max_iter + 1
     counts = {"factorised": 0, "projected": 0}
 
     def cholesky(acc, _real=_ref._cholesky):
@@ -164,7 +163,7 @@ def test_each_trial_point_is_factorised_once(monkeypatch):
 
     monkeypatch.setattr(_ref, "_cholesky", cholesky)
     monkeypatch.setattr(_ref, "project_simplex", project_simplex)
-    out = _ref.solve_pga(h, dw, SIGMA2, cap, 1e-8, 0.0, max_iter, *LINE_SEARCH)
+    out = _ref.solve_pga(h, dw, SIGMA2, cap, ARGS[0], 0.0, max_iter, *LINE_SEARCH)
     assert out[2] == max_iter and not out[4]
     assert counts["projected"] > max_iter  # some trial points were rejected
     assert counts["factorised"] == 1 + counts["projected"]
