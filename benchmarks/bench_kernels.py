@@ -3,12 +3,12 @@
 Usage: python3 benchmarks/bench_kernels.py [n_solves]
 
 Draws a batch of seeded random downlink instances and solves each with both
-backends, reporting per-solve wall time and the worst cross-backend
-disagreement on the objective.  The pure-NumPy backend also solves all
-instances in one ``solve_pga_batch`` call, as sweeps do; for both of its
-entries the script reports µs per solve and Cholesky factorisations per
-solve (counted in an untimed pass).  The compiled module is optional; if it
-is missing only the reference numbers are printed.
+backends, reporting per-solve wall time, solver iterations (p50, p99, max)
+and the worst cross-backend disagreement on the objective.  The pure-NumPy
+backend also solves all instances in one ``solve_pga_batch`` call, as sweeps
+do; for both of its entries the script also reports Cholesky factorisations
+per solve (counted in an untimed pass).  The compiled module is optional; if
+it is missing only the reference numbers are printed.
 """
 
 import sys
@@ -80,18 +80,24 @@ def factorisations(solve):
     return count
 
 
+def iterations(results):
+    """Iterations per solve as p50 / p99 / max."""
+    its = np.array([it for _, it, _ in results])
+    return f"iterations {np.percentile(its, 50):g} / {np.percentile(its, 99):g} / {its.max()}"
+
+
 def main():
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     instances = make_instances(count)
 
     t_ref, r_ref = run(_ref, instances)
-    iters = np.array([it for _, it, _ in r_ref])
     print(f"python backend : {t_ref:8.3f} s total, {t_ref / count * 1e6:9.1f} us/solve, "
           f"{factorisations(lambda: run(_ref, instances)) / count:5.1f} factorisations/solve, "
-          f"median iterations {int(np.median(iters))}")
+          f"{iterations(r_ref)}")
     t_batch, r_batch = run_batch(instances)
     print(f"python batch   : {t_batch:8.3f} s total, {t_batch / count * 1e6:9.1f} us/solve, "
-          f"{factorisations(lambda: run_batch(instances)) / count:5.1f} factorisations/solve")
+          f"{factorisations(lambda: run_batch(instances)) / count:5.1f} factorisations/solve, "
+          f"{iterations(r_batch)}")
     if r_batch != r_ref:
         print("WARNING: batch rows differ from the single solves")
     if _fast is None:
@@ -99,7 +105,7 @@ def main():
         return
     t_fast, r_fast = run(_fast, instances)
     print(f"cython backend : {t_fast:8.3f} s total, {t_fast / count * 1e6:9.1f} us/solve, "
-          f"speedup x{t_ref / t_fast:.1f}")
+          f"speedup x{t_ref / t_fast:.1f}, {iterations(r_fast)}")
     gap = max(
         abs(a - b) / max(abs(a), 1e-12)
         for (a, _, _), (b, _, _) in zip(r_ref, r_fast)

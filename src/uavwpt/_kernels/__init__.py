@@ -2,11 +2,15 @@
 
 The compiled extension (uavwpt._kernels._fast) is preferred when it built;
 otherwise the pure-NumPy reference (_ref) is used.  Both expose the same five
-functions with identical semantics.  ``solve_pga_batch`` solves many
-instances in one call: natively in _ref, as a loop over ``solve_pga`` on a
-backend without one.  Set UAVWPT_BACKEND=python or =cython to force one;
-forcing cython without the extension is an ImportError rather than a silent
-fallback.
+functions with the same signatures.  The objective, gradient, projection and
+KKT residual agree to rounding, but the solvers differ: _ref runs active-set
+projected Newton, while _fast (not built by default) still runs
+Barzilai-Borwein projected-gradient ascent until its kernel is ported; their
+solutions agree to the parity tests' tolerances.  ``solve_pga_batch`` solves
+many instances in one call: natively in _ref, as a loop over ``solve_pga``
+on a backend without one.  Set UAVWPT_BACKEND=python or =cython to force
+one; forcing cython without the extension is an ImportError rather than a
+silent fallback.
 """
 
 import os

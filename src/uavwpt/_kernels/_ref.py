@@ -1,7 +1,10 @@
 """Pure-NumPy kernels: reference implementation of the solver hot path.
 
-These functions mirror uavwpt._kernels._fast; the compiled module is
-preferred at import time and this one is the fallback.  Everything works in
+The objective, gradient, projection and KKT residual mirror
+uavwpt._kernels._fast; the compiled module is preferred at import time and
+this one is the fallback.  The solvers differ: this module's solve_pga_batch
+is an active-set projected Newton method, while _fast still runs
+Barzilai-Borwein projected-gradient ascent.  Everything works in
 *permuted* coordinates on raw arrays: ``h`` is the (K, N) channel matrix with
 rows ordered by the encoding permutation and ``dw`` the nonincreasing-weight
 decrements, so the objective is sum_k dw[k] * logdet(A_k).
@@ -10,8 +13,9 @@ Every kernel also takes a leading batch axis: ``h`` (B, K, N), ``dw`` and
 ``p`` (B, K), ``budget`` (B,).  Rows never mix, and each row's result is
 bitwise the same whatever else is in the batch: the K Cholesky factors of
 all rows come from one stacked LAPACK call, every sum runs in a fixed order
-along its own axis, and the dot products use ``np.vecdot``, which matches
-``@`` bit for bit.  :func:`solve_pga` is the batch of one.
+along its own axis, the dot products use ``np.vecdot``, which matches ``@``
+bit for bit, and the Hessian's Gram matrices are one small ``np.matmul``
+product per row and k.  :func:`solve_pga` is the batch of one.
 """
 
 import functools
@@ -23,6 +27,9 @@ from ..errors import ConsistencyError
 BACKEND = "python"
 
 _MAX_BACKTRACK = 60  # 0.5**60 is far below any meaningful step
+_EPS = np.finfo(float).eps
+_RIDGE = 1e-12  # relative to a face's largest curvature: keeps singular faces solvable
+_GRAM_ENTRIES = 1 << 15  # Gram entries per row block of the Hessian (0.5 MB complex)
 
 
 def _cholesky(acc):
@@ -53,8 +60,8 @@ def _invariants(h, dw):
     """Per-row data every evaluation at a new p reuses, as a tuple of (B, ...) arrays.
 
     The outer products h_n h_n^H (B, K, N, N), the right-hand side h^T of
-    the gradient's solve (B, 1, N, K), the (k, m) mask of the gradient terms
-    that count (m <= k and dw[k] != 0), and dw itself.
+    the gradient's solve (B, 1, N, K), the (k, m) mask of the gradient and
+    Hessian terms that count (m <= k and dw[k] != 0), and dw itself.
     """
     outer = h[..., :, None] * h.conj()[..., None, :]
     users = np.arange(h.shape[1])
@@ -77,29 +84,56 @@ def _weighted_logdets(dw, chol):
 
 
 def _value_grad(inv, rows, p, sigma2, eye):
-    """Objective and gradient at p from one factorisation.
+    """Objective, gradient and Hessian at p from one factorisation.
 
     ``inv`` is _invariants of a batch and ``rows`` (a slice or indices)
     picks the rows p belongs to.  A copy of the picked outer products lives
-    only while the factors are built, not through the solve below.
+    only while the factors are built, and the factors only until the solve
+    below is done.
     """
     outer, rhs, lower, dw = inv
     chol = _factors(outer[rows], p, sigma2, eye)
     rhs, lower, dw = rhs[rows], lower[rows], dw[rows]
-    # d logdet(A_k)/d p[m] = h_m^H A_k^{-1} h_m / sigma2 = ||L_k^{-1} h_m||^2 / sigma2,
-    # for every (k, m) pair from one stacked solve; only m <= k is used.
-    # (B, K, N, K): row k, antenna, column m.  Squared in place, so the
-    # complex solution is freed before the sums below.
-    sq = np.abs(np.linalg.solve(chol, rhs))
+    value = _weighted_logdets(dw, chol)
+    # sol[b, k, :, m] = L_k^{-1} h_m for every (k, m) pair from one stacked
+    # solve, (B, K, N, K); only m <= k is used.
+    sol = np.linalg.solve(chol, rhs)
+    del chol
+    # d logdet(A_k)/d p[m] = h_m^H A_k^{-1} h_m / sigma2 = ||L_k^{-1} h_m||^2 / sigma2.
+    sq = np.abs(sol)
     sq **= 2
     # Antenna sums in antenna order, except user 0's own column, which is one
     # vector sum (pairwise once N >= 8): the orders of the user-by-user
     # evaluation, so results keep their bits at every N.
-    quad = np.add.accumulate(sq, axis=2)[:, :, -1]
-    quad[:, 0, 0] = np.add.reduce(np.ascontiguousarray(sq[:, 0, :, 0]), axis=-1)
+    first = np.add.reduce(np.ascontiguousarray(sq[:, 0, :, 0]), axis=-1)
+    quad = np.add.accumulate(sq, axis=2, out=sq)[:, :, -1]
+    quad[:, 0, 0] = first
     terms = np.where(lower, dw[:, :, None] * quad / sigma2, 0.0)
+    del sq, quad
     grad = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
-    return _weighted_logdets(dw, chol), grad
+    return value, grad, _hessian(sol, lower, dw, sigma2)
+
+
+def _hessian(sol, lower, dw, sigma2):
+    """-sum_{k >= max(m, n)} dw[k] |<L_k^{-1} h_m, L_k^{-1} h_n>|^2 / sigma2^2, (B, K, K).
+
+    ``sol`` is _value_grad's solve, whose unused columns are zeroed in
+    place.  The (K, K) Gram matrix of each k is built for a block of rows at
+    a time, so no (B, K, K, K) stack exists at full chunk size.
+    """
+    n_rows, k_ues = dw.shape
+    sol *= lower[:, :, None, :]
+    cols = np.swapaxes(sol, -1, -2)
+    weight = -dw / sigma2 / sigma2
+    hess = np.empty((n_rows, k_ues, k_ues))
+    block = max(1, _GRAM_ENTRIES // k_ues**3)
+    for lo in range(0, n_rows, block):
+        gram = np.matmul(cols[lo : lo + block].conj(), sol[lo : lo + block])
+        terms = np.square(gram.real)
+        terms += np.square(gram.imag)
+        terms *= weight[lo : lo + block, :, None, None]
+        hess[lo : lo + block] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    return hess
 
 
 @_batched
@@ -112,7 +146,7 @@ def dual_objective(h, dw, p, sigma2):
 @_batched
 def dual_objective_grad(h, dw, p, sigma2):
     """Objective and its gradient w.r.t. p (both in permuted order)."""
-    return _value_grad(_invariants(h, dw), slice(None), p, sigma2, np.eye(h.shape[-1]))
+    return _value_grad(_invariants(h, dw), slice(None), p, sigma2, np.eye(h.shape[-1]))[:2]
 
 
 def project_simplex(v, budget):
@@ -138,6 +172,13 @@ def project_simplex(v, budget):
     top = np.take_along_axis(cumulative, rho[..., None], axis=-1)[..., 0]
     theta = (top - budget) / (rho + 1.0)
     projected = np.where(budget[..., None] == 0.0, 0.0, np.maximum(v - theta[..., None], 0.0))
+    # theta cancels when v is far above the budget (a 1e-9 budget came back
+    # 8e-8 relative over, or short).  Scale the rows onto the budget, less a
+    # margin that covers the rounding of the product and of the sum.
+    total = np.add.reduce(projected, axis=-1)
+    margin = 1.0 - 4.0 * k_ues * _EPS
+    scale = np.divide(budget * margin, total, out=np.ones_like(total), where=total > 0.0)
+    projected *= scale[..., None]
     return np.where(inside[..., None], clipped, projected)
 
 
@@ -161,7 +202,7 @@ def kkt_residual(p, grad, budget, eps_act):
 
 
 def solve_pga(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
-    """Projected gradient ascent on one instance: :func:`solve_pga_batch` of one row.
+    """Projected Newton ascent on one instance: :func:`solve_pga_batch` of one row.
 
     Returns (p, objective, iterations, kkt_residual, converged).
     """
@@ -179,21 +220,61 @@ def solve_pga(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
     return p[0], float(f[0]), int(iterations[0]), float(kkt[0]), bool(converged[0])
 
 
+def _gradient_step(g, cap):
+    """The gradient scaled so that its largest entry is the budget, (B, K)."""
+    return g * (cap / np.maximum.reduce(np.abs(g), axis=-1))[:, None]
+
+
+def _newton_step(p, g, hess, cap, eps_act):
+    """Each row's search direction and whether it is the Newton one, (B, K) and (B,).
+
+    The free set is {p > eps_act} plus the coordinates at the largest
+    gradient; the rest stay put.  On the free face the Newton direction d
+    maximises g.d + d.H.d/2 subject to sum(d) = 0: one stacked solve of
+    (ridge - H) [x y] = [g 1] and d = x - (sum x / sum y) y, where a ridge
+    of _RIDGE times the face's largest curvature keeps singular faces (tied
+    or zero weights, N < |F|) solvable.  Its ascent g.d = -d.H.d is positive
+    when H is negative definite on the face; where it is not (unsorted
+    weights give negative decrements) the direction is _gradient_step.
+    """
+    n_rows, k_ues = p.shape
+    free = (p > eps_act[:, None]) | (g >= np.maximum.reduce(g, axis=-1)[:, None])
+    curv = np.where(free[:, :, None] & free[:, None, :], -hess, 0.0)
+    diag = curv.reshape(n_rows, -1)[:, :: k_ues + 1]  # a view of each row's diagonal
+    scale = np.maximum.reduce(diag, axis=-1)
+    diag += np.where(free, np.where(scale > 0.0, _RIDGE * scale, 1.0)[:, None], 1.0)
+    rhs = np.empty((n_rows, k_ues, 2))
+    rhs[:, :, 0] = np.where(free, g, 0.0)
+    rhs[:, :, 1] = free
+    sol = np.linalg.solve(curv, rhs)
+    x, y = sol[:, :, 0], sol[:, :, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = x - (np.add.reduce(x, axis=-1) / np.add.reduce(y, axis=-1))[:, None] * y
+    ascent = np.vecdot(g, d)
+    newton = ascent > 0.0
+    newton &= np.isfinite(ascent)
+    return np.where(newton[:, None], d, _gradient_step(g, cap)), newton
+
+
 def solve_pga_batch(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
-    """Projected gradient ascent with Armijo backtracking, all rows in lockstep.
+    """Active-set projected Newton ascent with Armijo backtracking, all rows in lockstep.
 
     ``h`` is (B, K, N), ``dw`` (B, K) and ``budget`` (B,).  Returns arrays
     (p (B, K), objective, iterations, kkt_residual, converged), one entry
     per row.  Every iterate is feasible and the objective never decreases
-    across accepted steps.  The trial step is the budget on the first
-    iteration and the Barzilai-Borwein spectral step afterwards (clipped to
-    [1e-30, 1e30]); when the curvature estimate is unusable it falls back to
-    doubling the last accepted step, capped at the budget.  Each row keeps
-    its own iterate, step, backtracking and stop test; only rows still
-    running are evaluated.  Each trial point gets one evaluation, value and
-    gradient from one factorisation, and an accepted point keeps that
-    gradient, so a solve factorises 1 + (number of trial points) times.
-    Deterministic: fixed uniform start, no randomness.
+    across accepted steps.  Each iteration takes the Newton direction on the
+    free face (:func:`_newton_step`, after Bertsekas, SIAM J. Control Optim.
+    1982) and backtracks along the projection arc P(p + t d), t = 1, shrink,
+    shrink^2, ...  A Newton arc without ascent gives way to the
+    projected-gradient arc (:func:`_gradient_step`), unless the row already
+    meets the KKT tolerance; a row whose search finds no ascent stops as
+    numerically stationary, converged if its KKT residual holds.  Ascent
+    below the rounding of f counts as none.  Each row keeps its own
+    iterate, backtracking and stop test; only rows still running are
+    evaluated.  Each trial point gets one evaluation (value, gradient and
+    Hessian from one factorisation), and an accepted point keeps it, so a
+    solve factorises 1 + (number of trial points) times.  Deterministic:
+    fixed uniform start, no randomness.
     """
     h = np.asarray(h, dtype=complex)
     dw = np.asarray(dw, dtype=float)
@@ -214,13 +295,12 @@ def solve_pga_batch(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrin
     eye = np.eye(h.shape[-1])
     eps_act = 1e-9 * cap
     p = np.repeat((cap / k_ues)[:, None], k_ues, axis=1)
-    f, g = _value_grad(inv, slice(None), p, sigma2, eye)
+    f, g, hess = _value_grad(inv, slice(None), p, sigma2, eye)
     kkt = kkt_residual(p, g, cap, eps_act)
-    step = cap.copy()
 
     def finish(done, iterations, converged):
         """Write the rows flagged in ``done`` back and drop them from the state."""
-        nonlocal rows, inv, cap, eps_act, p, f, g, kkt, step
+        nonlocal rows, inv, cap, eps_act, p, f, g, hess, kkt
         if not done.any():
             return
         where = rows[done]
@@ -229,54 +309,58 @@ def solve_pga_batch(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrin
         keep = ~done
         rows, inv = rows[keep], tuple(a[keep] for a in inv)
         cap, eps_act, p, f, g = cap[keep], eps_act[keep], p[keep], f[keep], g[keep]
-        kkt, step = kkt[keep], step[keep]
+        hess, kkt = hess[keep], kkt[keep]
 
     finish(kkt <= kkt_tol, 0, True)
     iteration = 0
     for iteration in range(1, max_iter + 1):
         if rows.size == 0:
             break
-        t = step.copy()
+        step, newton = _newton_step(p, g, hess, cap, eps_act)
+        t = np.ones(rows.size)
         cand, f_cand, g_cand = np.empty_like(p), np.empty_like(f), np.empty_like(g)
+        h_cand = np.empty_like(hess)
         accepted = np.zeros(rows.size, dtype=bool)
         # Rows still searching: all of them (a slice, so nothing is copied)
-        # for the first trial step, then the indices of the rejected ones.
+        # for the first trial point, then the indices of the others.
         search = slice(None)
         for _ in range(_MAX_BACKTRACK):
-            trial = project_simplex(p[search] + t[search, None] * g[search], cap[search])
+            index = np.arange(rows.size)[search]
+            trial = project_simplex(p[search] + t[search, None] * step[search], cap[search])
             ascent = np.vecdot(g[search], trial - p[search])
-            up = ascent > 0.0
+            # Ascent below the rounding of f cannot be told from none.
+            up = ascent > _EPS * np.abs(f[search])
+            turn = index[~up & newton[index]]
             if not up.all():
-                # Rows with no ascent left stop searching without a step.
-                search = np.arange(rows.size)[search][up]
-                trial, ascent = trial[up], ascent[up]
-                if search.size == 0:
-                    break
-            value, grad = _value_grad(inv, search, trial, sigma2, eye)
-            cand[search], f_cand[search], g_cand[search] = trial, value, grad
-            ok = value >= f[search] + armijo * ascent
-            accepted[search] = ok
-            if ok.all():
+                search, trial, ascent = index[up], trial[up], ascent[up]
+                # A Newton arc without ascent turns to the gradient arc from
+                # t = 1, unless the row meets the KKT tolerance: then it is
+                # numerically stationary, as is a row whose gradient arc has
+                # no ascent.
+                turn = turn[kkt[turn] > kkt_tol]
+                newton[turn], t[turn] = False, 1.0
+                step[turn] = _gradient_step(g[turn], cap[turn])
+            retry = turn
+            if trial.shape[0]:
+                value, grad, curv = _value_grad(inv, search, trial, sigma2, eye)
+                cand[search], f_cand[search], g_cand[search] = trial, value, grad
+                h_cand[search] = curv
+                ok = value >= f[search] + armijo * ascent
+                accepted[search] = ok
+                rejected = index[up][~ok]
+                t[rejected] *= shrink
+                retry = np.sort(np.concatenate((rejected, turn)))
+            if retry.size == 0:
                 break
-            search = np.arange(rows.size)[search][~ok]
-            t[search] *= shrink
-        # No ascent left at any step length: numerically stationary.
+            search = retry
+        # Rows that accepted no trial point are numerically stationary.
         finish(~accepted, iteration, kkt[~accepted] <= kkt_tol)
         if rows.size == 0:
             break
-        t, cand, f_cand, g_cand = t[accepted], cand[accepted], f_cand[accepted], g_cand[accepted]
+        cand, f_cand, g_cand, h_cand = (a[accepted] for a in (cand, f_cand, g_cand, h_cand))
         rel_change = np.abs(f_cand - f) / np.maximum(np.abs(f_cand), 1e-300)
-        s = cand - p
-        g_prev = g
-        p, f, g = cand, f_cand, g_cand
+        p, f, g, hess = cand, f_cand, g_cand, h_cand
         kkt = kkt_residual(p, g, cap, eps_act)
-        curvature = np.vecdot(s, g_prev) - np.vecdot(s, g)
-        usable = curvature > 0.0
-        spectral = np.vecdot(s, s) / np.where(usable, curvature, 1.0)
-        step = np.where(
-            usable, np.minimum(np.maximum(spectral, 1e-30), 1e30), np.minimum(2.0 * t, cap)
-        )
-        done = (rel_change <= tol) & (kkt <= kkt_tol)
-        finish(done, iteration, True)
+        finish((rel_change <= tol) & (kkt <= kkt_tol), iteration, True)
     finish(np.ones(rows.size, dtype=bool), iteration, False)
     return p_out, f_out, it_out, kkt_out, conv_out

@@ -99,7 +99,7 @@ def run_emwt(
 
     Uses full-power MRT on the uplink (tight per-UE caps; any backoff only
     shrinks the harvested supply), the descending-weight encoding order on
-    the downlink, and the projected-gradient solver for the power split.
+    the downlink, and the projected Newton solver for the power split.
     ``downlink`` defaults to the uplink realization (TDD reciprocity); pass
     a second draw to study how stale or independent downlink state behaves.
     Solver non-convergence is reported in ``solve``, never raised.

@@ -1,7 +1,7 @@
 """Downlink power allocation on the budgeted simplex.
 
 Maximizes the weight-decrement throughput form (see uavwpt.rate) over
-{p >= 0, sum p <= budget} with projected gradient ascent and Armijo
+{p >= 0, sum p <= budget} with active-set projected Newton ascent and Armijo
 backtracking.  The hot loop lives in uavwpt._kernels (compiled when
 available); this module owns validation, the permute/unpermute bookkeeping
 and the report type.
@@ -9,15 +9,19 @@ and the report type.
 Design notes on the solver itself: the feasible set has a cheap exact
 Euclidean projection, the objective is smooth, and it is concave whenever the
 weight decrements are all nonnegative (weights sorted descending along the
-encoding order), so gradient ascent with a nondecreasing-objective line
+encoding order), so an ascent method with a nondecreasing-objective line
 search converges to the global maximum in that case.  Defaults: stop when the
 relative objective change is <= tol AND the KKT residual is <= kkt_tol;
-uniform feasible start; the first trial step is the budget, later ones the
-Barzilai-Borwein spectral step |s|^2 / (s . (g_prev - g)) from the last
-accepted move s (Barzilai & Borwein, IMA J. Numer. Anal. 1988), clipped to
-[1e-30, 1e30], or twice the last accepted step capped at the budget when
-that curvature estimate is not positive.  Armijo backtracking halves the
-trial step until the objective rises enough.
+uniform feasible start.  Each iteration fixes the users with (nearly) no
+power whose gradient is below the largest one, and takes the Newton step
+for the rest on the budget face: the Hessian
+-sum_{k >= max(m, n)} dw_k |h_m^H A_k^{-1} h_n|^2 / sigma2^2 comes from the
+same factorization as the value and the gradient (Bertsekas, SIAM J.
+Control Optim. 1982).  Armijo backtracking runs along the projection of
+that step onto the simplex.  Where the Newton direction gives no ascent
+(unsorted weights make the objective nonconcave) the step is the gradient
+scaled so that its largest entry is the budget.  The compiled backend, until it is ported, still runs
+Barzilai-Borwein projected-gradient ascent.
 """
 
 from dataclasses import dataclass

@@ -1,9 +1,12 @@
 """The CLI reproduces committed reference outputs byte for byte.
 
 The files under tests/data were written by the per-trial engine before the
-sweep solved each cell as one batch; a change that moves any byte here
-changes what users get from the same config and seed.  Never regenerate a
-file to make this test pass: find out why the bytes moved.
+sweep solved each cell as one batch.  sim_maxiter1_t20.csv and
+single_default.json were rewritten when the solver became projected Newton:
+one Newton step is not one gradient step, and the single solve stops at a
+point 1e-9 relative away.  A change that moves any byte here changes what
+users get from the same config and seed.  Never regenerate a file to make
+this test pass: find out why the bytes moved.
 """
 
 from pathlib import Path

@@ -1,8 +1,14 @@
 """Budgeted-simplex projection, KKT residual, and the power-allocation solver."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uavwpt._kernels import _ref
 from uavwpt.channel import ChannelRealization, draw_channel, draw_topology, trial_rng
 from uavwpt.rate import (
     dual_weighted_rate,
@@ -16,6 +22,7 @@ from uavwpt.solver import (
 )
 
 SIGMA2 = 0.001
+SETTINGS = (1e-8, 1e-6, 10_000, 1e-4, 0.5)  # tol, kkt_tol, max_iter, armijo, shrink
 
 
 def _instance(seed, trial, k, n=3):
@@ -79,6 +86,18 @@ def test_projection_idempotent_and_feasible():
         assert p.sum() <= budget + 1e-9 * max(budget, 1.0)
         again = project_budget_simplex(p, budget)
         assert np.allclose(again, p, atol=1e-12)
+
+
+def test_projection_of_large_steps_onto_a_tiny_budget_stays_feasible():
+    # theta = (top - budget) / count cancels when v is twelve orders above the
+    # budget; the result must still be feasible to rounding.
+    rng = np.random.default_rng(406)
+    for _ in range(200):
+        v = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 17))) * 1e3
+        p = project_budget_simplex(v, 1e-9)
+        assert p.min() >= 0.0
+        assert p.sum() <= 1e-9
+        assert p.sum() == pytest.approx(1e-9, rel=1e-6)
 
 
 # -------------------------------------------------------------- KKT residual
@@ -241,3 +260,73 @@ def test_solver_rejects_non_finite_weights(bad):
     channels = ChannelRealization([[0.4, 0.1], [0.2, 0.3]])
     with pytest.raises(ValueError, match="weights must be finite"):
         solve_power_allocation(channels, [0.6, bad], [0, 1], SIGMA2, 5.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 5, 16]),
+    n=st.sampled_from([1, 3, 8]),
+    weights=st.sampled_from(["distinct", "zero", "tied", "unsorted"]),
+    exponent=st.floats(-9.0, 6.0),
+    collinear=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_newton_solve_is_feasible_ascending_and_optimal(k, n, weights, exponent, collinear, seed):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    if collinear:
+        h = h[:1] + 1e-6 * h  # every channel within 1e-6 of the first
+    h *= 10.0 ** rng.uniform(-4.0, -1.0, size=(k, 1))
+    w = np.sort(rng.uniform(0.05, 1.0, k))[::-1]
+    if weights == "zero":
+        w[k // 2 :] = 0.0
+    elif weights == "tied":
+        w[:] = w[0]
+    elif weights == "unsorted":
+        w = w[::-1]  # increasing along the encoding order: negative decrements
+    dw = np.append(w[:-1] - w[1:], w[-1])
+    budget = 10.0**exponent
+    max_iter = 500  # some unsorted rows never meet the KKT test
+    p, f, iterations, _, converged = _ref.solve_pga(
+        h, dw, SIGMA2, budget, *SETTINGS[:2], max_iter, *SETTINGS[3:]
+    )
+    assert np.all(p >= 0.0) and p.sum() <= budget
+    assert f >= _ref.dual_objective(h, dw, np.full(k, budget / k), SIGMA2)
+    if weights == "unsorted":
+        return
+    # Concave: a solve certifies its point or stops early as numerically
+    # stationary, which near-collinear channels at budgets near 1e6 mW can
+    # reach before the KKT test holds (their last gains are below the rounding
+    # of f).  At a certified point the Frank-Wolfe gap bounds the distance to
+    # the optimum.
+    assert converged or iterations < max_iter
+    if converged:
+        _, g = _ref.dual_objective_grad(h, dw, p, SIGMA2)
+        assert budget * g.max() - g @ p <= 1e-6 * max(1.0, abs(f))
+
+
+def _bench_kernels():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_instances_solve_in_few_newton_iterations(monkeypatch):
+    instances = _bench_kernels().make_instances(300)
+    h, dw, budget = (np.stack(column) for column in zip(*instances))
+    factorised = 0
+
+    def cholesky(acc, _real=_ref._cholesky):
+        nonlocal factorised
+        factorised += acc.shape[0]
+        return _real(acc)
+
+    monkeypatch.setattr(_ref, "_cholesky", cholesky)
+    _, _, iterations, kkt, converged = _ref.solve_pga_batch(h, dw, SIGMA2, budget, *SETTINGS)
+    assert np.all(converged) and np.all(kkt <= 1e-6)
+    assert np.percentile(iterations, 99) <= 8
+    # Nearly every Newton step is accepted at its first trial point: few
+    # backtracks beyond one evaluation per iteration.
+    assert factorised <= 1.1 * (len(budget) + iterations.sum())
