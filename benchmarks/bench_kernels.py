@@ -1,14 +1,13 @@
-"""Time the pure-NumPy kernels against the compiled ones.
+"""Time the solver kernel one instance at a time and as one batch.
 
 Usage: python3 benchmarks/bench_kernels.py [n_solves]
 
-Draws a batch of seeded random downlink instances and solves each with both
-backends, reporting per-solve wall time, solver iterations (p50, p99, max)
-and the worst cross-backend disagreement on the objective.  The pure-NumPy
-backend also solves all instances in one ``solve_pga_batch`` call, as sweeps
-do; for both of its entries the script also reports Cholesky factorisations
-per solve (counted in an untimed pass).  The compiled module is optional; if
-it is missing only the reference numbers are printed.
+Draws seeded random downlink instances and solves them twice: one
+``solve_pga`` call per instance, then all of them in one ``solve_pga_batch``
+call, as sweeps do.  For each entry it reports per-solve wall time, Cholesky
+factorisations per solve (counted in an untimed pass) and solver iterations
+(p50, p99, max).  It warns if the batch rows differ from the lone solves or
+if any solve did not converge.
 """
 
 import sys
@@ -19,11 +18,6 @@ import numpy as np
 from uavwpt.channel import draw_channel, draw_topology, trial_rng
 from uavwpt.rate import optimal_permutation, weight_decrements
 from uavwpt._kernels import _ref
-
-try:
-    from uavwpt._kernels import _fast
-except ImportError:
-    _fast = None
 
 
 def make_instances(count, n_ues=5, n_antennas=3, seed=20240817):
@@ -44,11 +38,11 @@ def make_instances(count, n_ues=5, n_antennas=3, seed=20240817):
 SETTINGS = (1e-8, 1e-6, 10_000, 1e-4, 0.5)  # tol, kkt_tol, max_iter, armijo, shrink
 
 
-def run(backend, instances):
+def run(instances):
     results = []
     start = time.perf_counter()
     for hp, dw, budget in instances:
-        p, f, iters, kkt, conv = backend.solve_pga(hp, dw, 0.001, budget, *SETTINGS)
+        p, f, iters, kkt, conv = _ref.solve_pga(hp, dw, 0.001, budget, *SETTINGS)
         results.append((f, iters, conv))
     elapsed = time.perf_counter() - start
     return elapsed, results
@@ -90,28 +84,17 @@ def main():
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     instances = make_instances(count)
 
-    t_ref, r_ref = run(_ref, instances)
-    print(f"python backend : {t_ref:8.3f} s total, {t_ref / count * 1e6:9.1f} us/solve, "
-          f"{factorisations(lambda: run(_ref, instances)) / count:5.1f} factorisations/solve, "
-          f"{iterations(r_ref)}")
+    t_lone, r_lone = run(instances)
+    print(f"lone solves : {t_lone:8.3f} s total, {t_lone / count * 1e6:9.1f} us/solve, "
+          f"{factorisations(lambda: run(instances)) / count:5.1f} factorisations/solve, "
+          f"{iterations(r_lone)}")
     t_batch, r_batch = run_batch(instances)
-    print(f"python batch   : {t_batch:8.3f} s total, {t_batch / count * 1e6:9.1f} us/solve, "
+    print(f"batch       : {t_batch:8.3f} s total, {t_batch / count * 1e6:9.1f} us/solve, "
           f"{factorisations(lambda: run_batch(instances)) / count:5.1f} factorisations/solve, "
           f"{iterations(r_batch)}")
-    if r_batch != r_ref:
+    if r_batch != r_lone:
         print("WARNING: batch rows differ from the single solves")
-    if _fast is None:
-        print("cython backend : not built")
-        return
-    t_fast, r_fast = run(_fast, instances)
-    print(f"cython backend : {t_fast:8.3f} s total, {t_fast / count * 1e6:9.1f} us/solve, "
-          f"speedup x{t_ref / t_fast:.1f}, {iterations(r_fast)}")
-    gap = max(
-        abs(a - b) / max(abs(a), 1e-12)
-        for (a, _, _), (b, _, _) in zip(r_ref, r_fast)
-    )
-    print(f"worst relative objective disagreement: {gap:.3e}")
-    if not all(conv for _, _, conv in r_ref + r_fast):
+    if not all(conv for _, _, conv in r_lone + r_batch):
         print("WARNING: some solves did not converge")
 
 

@@ -34,12 +34,7 @@ from .rate import (
     optimal_permutation,
     weight_decrements,
 )
-from .solver import (
-    SolveReport,
-    kkt_residual,
-    project_budget_simplex,
-    solve_power_allocation,
-)
+from .solver import SolveReport, solve_power_allocation
 
 __version__ = "0.1.0"
 
@@ -61,7 +56,6 @@ __all__ = [
     "dual_weighted_rate",
     "harvest",
     "input_power",
-    "kkt_residual",
     "link_distance",
     "max_harvest",
     "mrt",
@@ -69,7 +63,6 @@ __all__ = [
     "objective_gradient",
     "optimal_permutation",
     "pathloss_gain",
-    "project_budget_simplex",
     "run_emwt",
     "solve_power_allocation",
     "topology_rng",

@@ -1,13 +1,12 @@
-"""Pure-NumPy kernels: reference implementation of the solver hot path.
+"""Pure-NumPy kernels: the objective, its derivatives and the solver hot path.
 
-The objective, gradient, projection and KKT residual mirror
-uavwpt._kernels._fast; the compiled module is preferred at import time and
-this one is the fallback.  The solvers differ: this module's solve_pga_batch
-is an active-set projected Newton method, while _fast still runs
-Barzilai-Borwein projected-gradient ascent.  Everything works in
-*permuted* coordinates on raw arrays: ``h`` is the (K, N) channel matrix with
-rows ordered by the encoding permutation and ``dw`` the nonincreasing-weight
-decrements, so the objective is sum_k dw[k] * logdet(A_k).
+:func:`solve_pga_batch` is an active-set projected Newton method; the
+objective, gradient, projection and KKT residual are its building blocks,
+and uavwpt.rate evaluates the throughput through the same Cholesky factors.
+Everything works in *permuted* coordinates on raw arrays: ``h`` is the
+(K, N) channel matrix with rows ordered by the encoding permutation and
+``dw`` the nonincreasing-weight decrements, so the objective is
+sum_k dw[k] * logdet(A_k).
 
 Every kernel also takes a leading batch axis: ``h`` (B, K, N), ``dw`` and
 ``p`` (B, K), ``budget`` (B,).  Rows never mix, and each row's result is
@@ -76,11 +75,15 @@ def _factors(outer, p, sigma2, eye):
     return _cholesky(np.add.accumulate(acc, axis=1, out=acc))
 
 
+def _logdets(chol):
+    """logdet(A_k) = 2 sum_i log L_k[i, i] from the factors of :func:`_factors`, (B, K)."""
+    return 2.0 * np.add.reduce(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+
+
 def _weighted_logdets(dw, chol):
     """sum_k dw[k] * logdet(A_k) per row, accumulated in k order."""
-    logdet = np.add.reduce(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
     # + 0.0 turns an all-zero -0.0 sum into +0.0, as a sum started at 0.0 gives.
-    return np.add.accumulate(dw * 2.0 * logdet, axis=1)[:, -1] + 0.0
+    return np.add.accumulate(dw * _logdets(chol), axis=1)[:, -1] + 0.0
 
 
 def _value_grad(inv, rows, p, sigma2, eye):
@@ -183,7 +186,14 @@ def project_simplex(v, budget):
 
 
 def kkt_residual(p, grad, budget, eps_act):
-    """First-order optimality residual on the budgeted simplex (see solver), row by row."""
+    """First-order optimality residual for the budgeted-simplex maximization, row by row.
+
+    With mu = max_m grad_m: the active-coordinate gradient spread
+    max_{p_m > eps_act} |grad_m - mu| / mu and the budget slack
+    |sum p - budget| / max(budget, eps_act) are combined by max.  Zero at an
+    exact optimum when every weight is positive.  Where mu <= 0 it is the
+    largest active |grad_m| over max(1, |mu|).
+    """
     p = np.asarray(p, dtype=float)
     grad = np.asarray(grad, dtype=float)
     mu = np.maximum.reduce(grad, axis=-1)

@@ -18,15 +18,16 @@ permutation sorts the weights in descending order every decrement is
 nonnegative, making the second form a concave function of p; that is the
 objective the power-allocation solver maximizes.
 
-Rates are in nats.  Determinants are evaluated through Cholesky factors of
-the explicitly accumulated A_k.
+Rates are in nats.  Determinants and the gradient are evaluated by the
+solver's kernels (uavwpt._kernels._ref), through Cholesky factors of the
+explicitly accumulated A_k.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
+from ._kernels import _ref
 
 
 @dataclass(frozen=True)
@@ -69,26 +70,14 @@ def _check_inputs(p, channels, weights, perm, sigma2):
     return p, w, perm
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConsistencyError(
-            "accumulated interference matrix is not positive definite"
-        ) from exc
-
-
 def _logdet_sequence(p, channels, perm, sigma2) -> np.ndarray:
     """logdet(A_k) for k = 1..K along the given encoding order."""
-    n = channels.n_antennas
-    acc = np.eye(n, dtype=complex)
-    out = np.empty(len(perm))
-    for k, ue in enumerate(perm):
-        hk = channels.h[ue]
-        acc = acc + (p[ue] / sigma2) * np.outer(hk, hk.conj())
-        diag = np.diagonal(_cholesky(acc)).real
-        out[k] = 2.0 * float(np.sum(np.log(diag)))
-    return out
+    if perm.size == 0:
+        return np.zeros(0)
+    h = channels.h[perm]
+    outer = (h[:, :, None] * h.conj()[:, None, :])[None]
+    chol = _ref._factors(outer, p[perm][None], sigma2, np.eye(channels.n_antennas))
+    return _ref._logdets(chol)[0]
 
 
 def dpc_weighted_rate(p, channels, weights, perm, sigma2: float) -> WeightedRate:
@@ -129,24 +118,11 @@ def objective_gradient(p, channels, weights, perm, sigma2: float) -> np.ndarray:
 
         (1/sigma2) * sum_{k>=m} dw_k * h_perm[m]^H A_k^{-1} h_perm[m],
 
-    strictly positive whenever the smallest weight is positive.  The inner
-    quadratic forms are evaluated as squared norms of triangular solves
-    against the Cholesky factor of each A_k.
+    strictly positive whenever the smallest weight is positive.  This is the
+    gradient the solver ascends, :func:`uavwpt._kernels.dual_objective_grad`.
     """
     p, w, perm = _check_inputs(p, channels, weights, perm, sigma2)
-    k_ues = len(perm)
-    n = channels.n_antennas
+    if perm.size == 0:
+        return np.zeros(0)
     dw = weight_decrements(w, perm)
-    hp = channels.h[perm]
-    grad = np.zeros(k_ues)
-    acc = np.eye(n, dtype=complex)
-    for k in range(k_ues):
-        hk = hp[k]
-        acc = acc + (p[perm[k]] / sigma2) * np.outer(hk, hk.conj())
-        if dw[k] == 0.0:
-            continue
-        chol = _cholesky(acc)
-        # h^H A^{-1} h = ||L^{-1} h||^2 for A = L L^H
-        sol = np.linalg.solve(chol, hp[: k + 1].T)
-        grad[: k + 1] += dw[k] * np.sum(np.abs(sol) ** 2, axis=0) / sigma2
-    return grad
+    return _ref.dual_objective_grad(channels.h[perm], dw, p[perm], sigma2)[1]

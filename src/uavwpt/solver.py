@@ -2,9 +2,8 @@
 
 Maximizes the weight-decrement throughput form (see uavwpt.rate) over
 {p >= 0, sum p <= budget} with active-set projected Newton ascent and Armijo
-backtracking.  The hot loop lives in uavwpt._kernels (compiled when
-available); this module owns validation, the permute/unpermute bookkeeping
-and the report type.
+backtracking.  The hot loop lives in uavwpt._kernels; this module owns
+validation, the permute/unpermute bookkeeping and the report type.
 
 Design notes on the solver itself: the feasible set has a cheap exact
 Euclidean projection, the objective is smooth, and it is concave whenever the
@@ -20,8 +19,7 @@ same factorization as the value and the gradient (Bertsekas, SIAM J.
 Control Optim. 1982).  Armijo backtracking runs along the projection of
 that step onto the simplex.  Where the Newton direction gives no ascent
 (unsorted weights make the objective nonconcave) the step is the gradient
-scaled so that its largest entry is the budget.  The compiled backend, until it is ported, still runs
-Barzilai-Borwein projected-gradient ascent.
+scaled so that its largest entry is the budget.
 """
 
 from dataclasses import dataclass
@@ -49,34 +47,6 @@ class SolveReport:
     iterations: int
     kkt_residual: float
     converged: bool
-
-
-def project_budget_simplex(v, budget: float) -> np.ndarray:
-    """Euclidean projection of v onto {p >= 0, sum p <= budget}."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    return np.asarray(_kernels.project_simplex(v, float(budget)), dtype=float)
-
-
-def kkt_residual(p, grad, budget: float) -> float:
-    """First-order optimality residual for the budgeted-simplex maximization.
-
-    With mu = max_m grad_m: the active-coordinate gradient spread
-    max_{p_m > eps} |grad_m - mu| / mu and the budget slack
-    |sum p - budget| / max(budget, eps) are combined by max (eps = 1e-9 *
-    budget).  Zero at an exact optimum when every weight is positive.  A
-    zero budget (empty feasible set apart from p = 0) is trivially optimal.
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    grad = np.atleast_1d(np.asarray(grad, dtype=float))
-    if p.shape != grad.shape:
-        raise ValueError("p and grad must have the same length")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if budget == 0.0 or p.size == 0:
-        return 0.0
-    return float(_kernels.kkt_residual(p, grad, float(budget), 1e-9 * float(budget)))
 
 
 def solve_power_allocation(

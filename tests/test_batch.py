@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import uavwpt._kernels as kernels
 from uavwpt import cli
 from uavwpt._kernels import _ref
 from uavwpt.channel import trial_rng
@@ -196,15 +195,6 @@ def test_max_iter_one_stops_unconverged():
     h, dw, budget = _batch(5, 3, seed=2)
     _, _, it, _, conv = _solve(h, dw, budget, 1)
     assert np.all(it[budget > 0] == 1) and not np.any(conv[budget > 0])
-
-
-def test_row_loop_fallback_matches_batch():
-    # A backend without a batch kernel solves row by row through its solve_pga.
-    h, dw, budget = _batch(4, 3, seed=3)
-    loop = kernels._solve_rows(h, dw, SIGMA2, budget, *ARGS, 10_000, *LINE_SEARCH)
-    if kernels.BACKEND == "python":
-        _assert_rows_equal(loop, _solve(h, dw, budget, 10_000), "row loop")
-    assert loop[0].shape == (len(budget), 4)
 
 
 def test_unbatched_kernels_match_their_batch_row():

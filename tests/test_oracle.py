@@ -57,7 +57,7 @@ def test_grid_search_matches_direct_enumeration():
     w = np.array([0.7, 0.3])
     perm = optimal_permutation(w)
     spec = GridSpec(25, 40.0)
-    p_fast, obj_fast = grid_search(channels, w, perm, SIGMA2, spec)
+    p_grid, obj_grid = grid_search(channels, w, perm, SIGMA2, spec)
     delta = spec.budget / (spec.resolution - 1)
     best = (None, -np.inf)
     for i in range(spec.resolution):
@@ -68,8 +68,8 @@ def test_grid_search_matches_direct_enumeration():
             val = dual_weighted_rate(p, channels, w, perm, SIGMA2).value
             if val > best[1]:
                 best = (p, val)
-    assert obj_fast == pytest.approx(best[1], rel=1e-12)
-    assert np.allclose(p_fast, best[0], atol=1e-12)
+    assert obj_grid == pytest.approx(best[1], rel=1e-12)
+    assert np.allclose(p_grid, best[0], atol=1e-12)
 
 
 def test_grid_never_beats_solver_beyond_granularity():

@@ -37,6 +37,10 @@ def test_benchmark_checks_self_test_passes():
 def test_every_traced_site_resolves():
     for name, module_name, attr in _load_spans()._SITES:
         assert callable(getattr(importlib.import_module(module_name), attr)), name
+    # perfbench/worker.py records the backend name with every run.
+    import uavwpt
+
+    assert uavwpt.BACKEND == "python"
 
 
 def test_scalar_solve_pga_returns_five_tuple():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uavwpt.channel import draw_channel, draw_topology, trial_rng
+from uavwpt.channel import ChannelRealization, draw_channel, draw_topology, trial_rng
 from uavwpt.rate import (
     dpc_weighted_rate,
     dual_weighted_rate,
@@ -95,6 +95,26 @@ def test_single_user_closed_form():
     p = 42.0
     res = dpc_weighted_rate([p], channels, [0.7], [0], SIGMA2)
     assert res.value == pytest.approx(0.7 * np.log1p(p * gain / SIGMA2), rel=1e-12)
+
+
+@pytest.mark.parametrize("k, n", [(0, 2), (2, 2), (3, 5), (5, 8)])
+def test_orthogonal_users_closed_form(k, n):
+    # Mutually orthogonal channels do not interfere: each user gets its
+    # single-user rate log(1 + p_k ||h_k||^2 / sigma2), and each gradient
+    # component is w_k ||h_k||^2 / (sigma2 + p_k ||h_k||^2), since h_k is an
+    # eigenvector of every A_j that contains it.
+    rng = np.random.default_rng(1005 + 10 * k + n)
+    unitary = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    channels = ChannelRealization(unitary.T[:k] * rng.uniform(0.05, 0.5, size=(k, 1)))
+    gain = np.sum(np.abs(channels.h) ** 2, axis=1)
+    w = rng.uniform(0.1, 1.0, size=k)
+    perm = optimal_permutation(w)
+    p = rng.uniform(1.0, 60.0, size=k)
+    res = dpc_weighted_rate(p, channels, w, perm, SIGMA2)
+    assert np.allclose(res.per_user, np.log1p(p * gain / SIGMA2), rtol=1e-12, atol=0.0)
+    grad = objective_gradient(p, channels, w, perm, SIGMA2)
+    want = (w * gain / (SIGMA2 + p * gain))[perm]
+    assert np.allclose(grad, want, rtol=1e-12, atol=0.0)
 
 
 def test_rate_input_validation():
