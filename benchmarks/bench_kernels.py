@@ -8,10 +8,18 @@ call, as sweeps do.  For each entry it reports per-solve wall time, Cholesky
 factorisations per solve (counted in an untimed pass) and solver iterations
 (p50, p99, max).  It warns if the batch rows differ from the lone solves or
 if any solve did not converge.
+
+A scaling table follows for K in {5, 16, 64} users and N in {1, 3, 8}
+antennas: per-solve time of one batch call, iterations, and the tracemalloc
+peak bytes per row of one batch ``_value_grad`` at the uniform start, also
+divided by the K^2 max(K, N) entries per row that the sweep's solve pool
+(``uavwpt.cli._POOL_ENTRIES``) counts.  K=64 runs n_solves // 20 instances and
+K=16 n_solves // 3; a default run peaks at about 65 MB of RSS.
 """
 
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -77,7 +85,40 @@ def factorisations(solve):
 def iterations(results):
     """Iterations per solve as p50 / p99 / max."""
     its = np.array([it for _, it, _ in results])
-    return f"iterations {np.percentile(its, 50):g} / {np.percentile(its, 99):g} / {its.max()}"
+    p50, p99 = np.percentile(its, [50, 99], method="inverted_cdf")
+    return f"iterations {p50:g} / {p99:g} / {its.max()}"
+
+
+def value_grad_peak(instances):
+    """tracemalloc peak bytes per row of one batch _value_grad at the uniform start."""
+    h, dw, budget = (np.stack(column) for column in zip(*instances))
+    rows, k_ues, n_antennas = h.shape
+    inv = _ref._invariants(h, dw)
+    p = np.repeat((budget / k_ues)[:, None], k_ues, axis=1)
+    eye = np.eye(n_antennas)
+    tracemalloc.start()
+    try:
+        _ref._value_grad(inv, slice(None), p, 0.001, eye)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / rows
+
+
+def scaling(count):
+    """One row per (K, N): batch time per solve, iterations and memory per row."""
+    print(f"{'K':>3} {'N':>2} {'solves':>6} {'us/solve':>10} {'peak B/row':>11} {'B/entry':>8}")
+    for k_ues in (5, 16, 64):
+        solves = max(1, count // {5: 1, 16: 3, 64: 20}[k_ues])
+        for n_antennas in (1, 3, 8):
+            instances = make_instances(solves, k_ues, n_antennas)
+            elapsed, results = run_batch(instances)
+            per_row = value_grad_peak(instances)
+            entries = k_ues**2 * max(k_ues, n_antennas)
+            print(f"{k_ues:>3} {n_antennas:>2} {solves:>6} {elapsed / solves * 1e6:>10.1f} "
+                  f"{per_row:>11.0f} {per_row / entries:>8.1f}  {iterations(results)}")
+            if not all(conv for _, _, conv in results):
+                print("WARNING: some solves did not converge")
 
 
 def main():
@@ -96,6 +137,8 @@ def main():
         print("WARNING: batch rows differ from the single solves")
     if not all(conv for _, _, conv in r_lone + r_batch):
         print("WARNING: some solves did not converge")
+    print()
+    scaling(count)
 
 
 if __name__ == "__main__":

@@ -115,9 +115,77 @@ def _draw_trial(cfg, rng, frozen_topology):
     return topo, channels, downlink
 
 
-# Trials drawn and solved together; it bounds the memory of a cell, whatever
-# sweep.trials is.
+# Trials drawn together, and the most one chunk sends to a solve; it bounds
+# the memory of a cell, whatever sweep.trials is.
 _CHUNK_TRIALS = 1024
+# Working-set bound of one pooled solve, in entries: pooled rows times
+# K^2 max(K, N), the larger of the Hessian's (K, K, K) Gram stack and the
+# (K, N, K) solve of one evaluation per row.  That is 32 rows at K=5, N=3,
+# where one evaluation peaks at about 5.2 kB per row
+# (benchmarks/bench_kernels.py); at K=16, N=8 every chunk is solved alone.
+# Larger pools cut more per-call overhead but measurably raise peak memory.
+_POOL_ENTRIES = 4096
+
+
+class _SolvePool:
+    """Budgeted trials of consecutive cell chunks, solved in one solve_batch call.
+
+    Every cell of a sweep shares the weights, the noise power and the solver
+    settings; only the budgets differ, so the rows of several chunks can go
+    through one lockstep call.  solve_pga_batch rows never mix, so each
+    result is bitwise what its own chunk's call gives.  A chunk is never
+    split: the pool is flushed before a chunk would take it past
+    _POOL_ENTRIES, and right after it takes one that alone reaches the bound.
+    """
+
+    def __init__(self, cfg):
+        self._cfg = cfg
+        self._row_entries = cfg.n_ues**2 * max(cfg.n_ues, cfg.n_antennas)
+        self._queued = []  # (h, budget, objective out, converged out, out indices)
+        self._rows = 0
+
+    @property
+    def empty(self):
+        return not self._queued
+
+    def add(self, h, budget, objective, converged, at):
+        """Queue (B, K, N) channels with their positive budgets (B,).
+
+        After the flush that solves them, the rows' objectives and converged
+        flags land in ``objective[at]`` and ``converged[at]``.
+        """
+        if self._queued and (self._rows + budget.size) * self._row_entries > _POOL_ENTRIES:
+            self.flush()
+        self._queued.append((h, budget, objective, converged, at))
+        self._rows += budget.size
+        if self._rows * self._row_entries >= _POOL_ENTRIES:
+            self.flush()
+
+    def flush(self):
+        """Solve every queued row in one call and deliver the results."""
+        if not self._queued:
+            return
+        queued, self._queued, self._rows = self._queued, [], 0
+        if len(queued) == 1:
+            h, budget = queued[0][:2]
+        else:
+            h = np.concatenate([q[0] for q in queued])
+            budget = np.concatenate([q[1] for q in queued])
+        cfg = self._cfg
+        _, objective, _, _, converged = solve_batch(
+            h,
+            cfg.weights,
+            cfg.noise_power,
+            budget,
+            tol=cfg.solver_tol,
+            max_iter=cfg.solver_max_iter,
+        )
+        start = 0
+        for _, _, objective_out, converged_out, at in queued:
+            stop = start + at.size
+            objective_out[at] = objective[start:stop]
+            converged_out[at] = converged[start:stop]
+            start = stop
 
 
 def _draw_chunk(cfg, seed, cell, start, stop, frozen_topology):
@@ -154,23 +222,29 @@ def _draw_chunk(cfg, seed, cell, start, stop, frozen_topology):
     return channels[0], channels[-1]  # one array unless cfg.independent_dl
 
 
-def run_cell(cfg, spec: SweepSpec, cell_index: int, frozen_topology=None):
-    """All trials of one sweep cell; returns (SweepRow, nonconverged count).
+def run_cell(cfg, spec: SweepSpec, cell_index: int, pool, frozen_topology=None):
+    """Draw all trials of one sweep cell and queue their solves on ``pool``.
 
-    Trials run in chunks of up to _CHUNK_TRIALS.  Each trial still draws from
-    its own stream, one after another, but only the generator calls stay per
-    trial: the variates go into chunk arrays and the chunk's channels are
-    built in one pass (_draw_chunk).  The uplink harvest and the power
-    allocation then run on the whole chunk.  Full-power MRT delivers
+    Returns a function of no arguments that gives the cell's (SweepRow,
+    nonconverged count).  Call it once ``pool`` holds none of the cell's
+    trials, that is after the pool is flushed or whenever it is empty.
+
+    Trials are drawn in chunks of up to _CHUNK_TRIALS.  Each trial still
+    draws from its own stream, one after another, but only the generator
+    calls stay per trial: the variates go into chunk arrays and the chunk's
+    channels are built in one pass (_draw_chunk).  The uplink harvest then
+    runs on the whole chunk.  Full-power MRT delivers
     |h_k^H w_k|^2 = p_max_k ||h_k||^2, so the harvester input is computed in
-    closed form without building beams.  Every trial's result is bitwise
-    what the per-trial draw and solve give.
+    closed form without building beams.  A zero-budget trial is optimal at
+    p = 0 with throughput 0 and never reaches the solver; the chunk's other
+    trials go to ``pool`` together.  Every trial's result is bitwise what
+    the per-trial draw and solve give.
     """
     p_cir, c = spec.cells[cell_index]
     sys_cfg = cfg.system(circuit_power=p_cir, eh_c=c)
-    throughputs = np.empty(spec.trials)
+    throughputs = np.zeros(spec.trials)
     budgets = np.empty(spec.trials)
-    nonconverged = 0
+    converged = np.ones(spec.trials, dtype=bool)
     for start in range(0, spec.trials, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, spec.trials)
         uplink, downlink = _draw_chunk(
@@ -181,31 +255,28 @@ def run_cell(cfg, spec: SweepSpec, cell_index: int, frozen_topology=None):
             sys_cfg.amp_efficiency,
             sys_cfg.circuit_power,
         )
-        _, objective, _, _, converged = solve_batch(
-            downlink,
-            sys_cfg.weights,
-            sys_cfg.noise_power,
-            budget,
-            tol=cfg.solver_tol,
-            max_iter=cfg.solver_max_iter,
-        )
-        throughputs[start:stop] = objective
         budgets[start:stop] = budget
-        nonconverged += int(np.count_nonzero(~converged))
-    mean = float(np.mean(throughputs))
-    if spec.trials > 1:
-        ci95 = float(1.96 * np.std(throughputs, ddof=1) / math.sqrt(spec.trials))
-    else:
-        ci95 = 0.0
-    row = SweepRow(
-        p_cir=p_cir,
-        c=c,
-        mean_throughput=mean,
-        ci95_halfwidth=ci95,
-        mean_budget=float(np.mean(budgets)),
-        fraction_infeasible=float(np.mean(budgets == 0.0)),
-    )
-    return row, nonconverged
+        solved = np.flatnonzero(budget > 0.0)
+        if solved.size:
+            pool.add(downlink[solved], budget[solved], throughputs, converged, start + solved)
+
+    def result():
+        mean = float(np.mean(throughputs))
+        if spec.trials > 1:
+            ci95 = float(1.96 * np.std(throughputs, ddof=1) / math.sqrt(spec.trials))
+        else:
+            ci95 = 0.0
+        row = SweepRow(
+            p_cir=p_cir,
+            c=c,
+            mean_throughput=mean,
+            ci95_halfwidth=ci95,
+            mean_budget=float(np.mean(budgets)),
+            fraction_infeasible=float(np.mean(budgets == 0.0)),
+        )
+        return row, int(np.count_nonzero(~converged))
+
+    return result
 
 
 def run_sweep(cfg, spec: SweepSpec = None, bits=False):
@@ -214,14 +285,29 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
     Returns (rows, warnings); warnings report cells with nonconverged
     solves.  With cfg.frozen_topology one topology draw (from the reserved
     stream) is shared by every cell and trial; fading is always redrawn.
+
+    run_cell draws the cells one after another and queues their budgeted
+    trials on one _SolvePool, so small cells share a lockstep solve while
+    a chunk that reaches the pool's bound is solved alone.  Rows are built
+    whenever the pool is empty, so a sweep of large cells keeps one cell's
+    trials at a time, as before.
     """
     if spec is None:
         spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, cfg.trials, cfg.seed)
     frozen = _frozen_topology(cfg, spec.seed)
+    pool = _SolvePool(cfg)
+    results = []
+    pending = []
+    for cell_index in range(len(spec.cells)):
+        pending.append(run_cell(cfg, spec, cell_index, pool, frozen_topology=frozen))
+        if pool.empty:
+            results += [result() for result in pending]
+            pending.clear()
+    pool.flush()
+    results += [result() for result in pending]
     rows = []
     warnings = []
-    for cell_index, (p_cir, c) in enumerate(spec.cells):
-        row, nonconverged = run_cell(cfg, spec, cell_index, frozen_topology=frozen)
+    for (p_cir, c), (row, nonconverged) in zip(spec.cells, results):
         if bits:
             row = replace(
                 row,

@@ -58,6 +58,15 @@ _DEFAULTS = {
 }
 
 
+# The largest downlink budget over the noise power that a config may reach,
+# amp_efficiency * max(eh.c, sweep.c) / noise_power.  Measured on the stock
+# geometry (100 trials, p_cir=40 mW): the ratio 8e8 (c=1e6 mW) leaves 0.7 % of
+# trials unconverged, 8e12 (c=1e10) 19 %, 8e15 (c=1e13) 41 %, 8e18 (c=1e16)
+# 75 %, and at 8e19 (c=1e17) the interference matrices are no longer
+# numerically positive definite and the Cholesky factorisation fails.
+MAX_BUDGET_TO_NOISE = 1e13
+
+
 class ConfigError(ValueError):
     """Unreadable, unparsable, or semantically invalid configuration."""
 
@@ -257,4 +266,13 @@ def load_config(path=None, overrides=()) -> AppConfig:
             bound += f" and <= {high:g}"
         shown = ", ".join(f"{v:g}" for v in values)
         raise ConfigError(f"{key} must be finite and {bound}, got {shown}")
+    # Each value is in range, yet a huge budget over a tiny noise power
+    # overflows or leaves the factorisation without precision.
+    ratio = cfg.amp_efficiency * max(cfg.eh_c, *sweep_c) / cfg.noise_power
+    if not ratio <= MAX_BUDGET_TO_NOISE:
+        raise ConfigError(
+            "largest budget over noise, system.amp_efficiency * max(eh.c, sweep.c) / "
+            f"system.noise_power, must be finite and <= {MAX_BUDGET_TO_NOISE:g}, "
+            f"got {ratio:g}"
+        )
     return cfg

@@ -19,7 +19,7 @@ from uavwpt.config import load_config
 from uavwpt.eh_model import max_harvest
 from uavwpt.emwt import compute_budget
 from uavwpt.rate import optimal_permutation
-from uavwpt.solver import solve_power_allocation
+from uavwpt.solver import solve_batch, solve_power_allocation
 
 ARGS = (1e-8, 1e-6)  # tol, kkt_tol
 LINE_SEARCH = (1e-4, 0.5)  # armijo, shrink
@@ -210,8 +210,6 @@ def test_unbatched_kernels_match_their_batch_row():
 def test_solve_batch_matches_solve_power_allocation():
     # Unsorted weights: solve_batch applies the encoding order and undoes it.
     from uavwpt.channel import ChannelRealization
-    from uavwpt.rate import optimal_permutation
-    from uavwpt.solver import solve_batch, solve_power_allocation
 
     h, _, budget = _batch(4, 3, seed=5)
     weights = np.array([0.2, 0.4, 0.1, 0.3])
@@ -271,6 +269,95 @@ def test_nonconverged_warnings_unchanged():
             )
     assert warnings == expected
     assert 0 < total < len(spec.cells) * spec.trials
+
+
+# 16 distinct descending weights.
+_WIDE = ("ue.count=16", "ue.antennas=8", "ue.weights=" + ",".join(
+    f"{1.0 - 0.05 * k:g}" for k in range(16)))
+
+
+def _pooled_sweep(monkeypatch, cfg, spec, bound):
+    """CSV, warnings and the budgets of every solve_batch call at a pool bound."""
+    calls = []
+
+    def counting(h, weights, sigma2, budgets, **kwargs):
+        assert h.shape[0] == budgets.size and np.all(budgets > 0.0)
+        calls.append(np.array(budgets))
+        return solve_batch(h, weights, sigma2, budgets, **kwargs)
+
+    monkeypatch.setattr(cli, "_POOL_ENTRIES", bound)
+    monkeypatch.setattr(cli, "solve_batch", counting)
+    rows, warnings = run_sweep(cfg, spec)
+    return format_csv(rows), warnings, calls
+
+
+@pytest.mark.parametrize(
+    "overrides,trials,chunk",
+    [
+        ((), 1, 1024),
+        ((), 3, 1024),
+        ((), 10, 1024),
+        ((), 10, 4),  # cells of three chunks, pooled across cells
+        (("ue.p_max=3",), 30, 1024),  # mixed infeasible cells
+        (("topology.frozen=true", "channel.independent_dl=true"), 10, 1024),
+        (_WIDE, 2, 1024),
+        (("solver.max_iter=4",), 10, 1024),
+    ],
+)
+def test_pooled_solves_match_cells_solved_alone(monkeypatch, overrides, trials, chunk):
+    cfg = load_config(overrides=overrides)
+    spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, trials, 11)
+    monkeypatch.setattr(cli, "_CHUNK_TRIALS", chunk)
+    bound = cli._POOL_ENTRIES
+    row_entries = cfg.n_ues**2 * max(cfg.n_ues, cfg.n_antennas)
+    csv, warnings, calls = _pooled_sweep(monkeypatch, cfg, spec, bound)
+    # Bound 0: every chunk is solved alone; a huge bound: one call in all.
+    alone_csv, alone_warnings, chunks = _pooled_sweep(monkeypatch, cfg, spec, 0)
+    whole_csv, whole_warnings, whole = _pooled_sweep(monkeypatch, cfg, spec, 1 << 60)
+    assert alone_csv == csv == whole_csv
+    assert alone_warnings == warnings == whole_warnings
+    if "solver.max_iter=4" in overrides:
+        assert warnings and len(calls) < len(chunks)
+    assert len(whole) == 1
+    assert np.concatenate(chunks).tobytes() == whole[0].tobytes()
+
+    # Each call holds whole chunks, in sweep order, and passes the bound
+    # only when it holds one chunk.
+    sizes = [c.size for c in chunks]
+    edges = np.cumsum([0] + sizes).tolist()
+    at = 0
+    for budgets in calls:
+        assert at + budgets.size in edges
+        held = edges.index(at + budgets.size) - edges.index(at)
+        assert budgets.size * row_entries <= bound or held == 1
+        at += budgets.size
+    assert at == edges[-1]
+    if row_entries * max(sizes) * 2 <= bound:
+        assert len(calls) < len(chunks)  # small cells do share calls
+
+
+def test_chunk_that_reaches_the_bound_is_solved_at_once():
+    # A cell of large chunks (the full stock sweep) holds no chunk in the
+    # pool, so its row is ready when run_cell returns; small cells wait.
+    cfg = load_config()
+    pool = cli._SolvePool(cfg)
+    rows_at_bound = -(-cli._POOL_ENTRIES // (cfg.n_ues**2 * max(cfg.n_ues, cfg.n_antennas)))
+    big = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, rows_at_bound, 2)
+    result = cli.run_cell(cfg, big, 0, pool)
+    assert pool.empty
+    assert result()[0].mean_throughput > 0.0
+    cli.run_cell(cfg, SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, 1, 2), 0, pool)
+    assert not pool.empty
+
+
+def test_all_infeasible_sweep_makes_no_kernel_call(monkeypatch):
+    # No uplink power: every budget is zero and no trial reaches the solver.
+    cfg = load_config(overrides=("ue.p_max=0",))
+    spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, 10, 3)
+    csv, warnings, calls = _pooled_sweep(monkeypatch, cfg, spec, cli._POOL_ENTRIES)
+    assert calls == [] and warnings == []
+    for row in csv.splitlines()[1:]:
+        assert row.endswith(",0,0,0,1")
 
 
 @settings(max_examples=30, deadline=None)

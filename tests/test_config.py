@@ -189,3 +189,31 @@ def test_negative_seed_flag_exits_2(capsys):
 
     assert main(["simulate", "--seed", "-3"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_budget_to_noise_just_under_the_limit_runs(capsys):
+    # 0.8 * c / 0.001 is 0.99 of the limit: every trial gets a finite row.
+    from uavwpt.cli import main
+    from uavwpt.config import MAX_BUDGET_TO_NOISE
+
+    c = 0.99 * MAX_BUDGET_TO_NOISE * 0.001 / 0.8
+    assert main(["simulate", "--trials", "3", "--set", "sweep.p_cir=40",
+                 "--set", f"sweep.c=100,{c!r}"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 2
+    assert all(np.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+@pytest.mark.parametrize(
+    "override",
+    # Just over the limit, far over it (once a Cholesky traceback), and an
+    # overflowing ratio (once inf and NaN rows with exit code 0).
+    ["sweep.c=1.2501e10", "sweep.c=1e17", "system.noise_power=1e-310", "eh.c=1e17"],
+)
+def test_budget_to_noise_over_the_limit_exits_2(override, capsys):
+    from uavwpt.cli import main
+
+    assert main(["simulate", "--trials", "2", "--set", "sweep.p_cir=40",
+                 "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "budget over noise" in err
