@@ -10,11 +10,15 @@ factorisations per solve (counted in an untimed pass) and solver iterations
 if any solve did not converge.
 
 A scaling table follows for K in {5, 16, 64} users and N in {1, 3, 8}
-antennas: per-solve time of one batch call, iterations, and the tracemalloc
-peak bytes per row of one batch ``_value_grad`` at the uniform start, also
-divided by the K^2 max(K, N) entries per row that the sweep's solve pool
-(``uavwpt.cli._POOL_ENTRIES``) counts.  K=64 runs n_solves // 20 instances and
-K=16 n_solves // 3; a default run peaks at about 65 MB of RSS.
+antennas: per-solve time of one batch call, iterations, the bytes per row
+that the sweep's solve pool counts (``uavwpt._kernels.bytes_per_row``,
+bounded by ``uavwpt.cli._POOL_BYTES``) and, beside it, the tracemalloc peak
+per row of one batch ``_value_grad`` at the uniform start, with the rows'
+invariants, picking its rows by index as the line search does.  K=64 runs
+n_solves // 20 instances and K=16 n_solves // 3.  Last comes the
+tracemalloc peak of one 1024-row ``solve_pga_batch`` at K=16, N=8, the
+sweep's largest chunk there.  A default run takes about 5 s and peaks at
+about 140 MB of RSS.
 """
 
 import sys
@@ -25,7 +29,7 @@ import numpy as np
 
 from uavwpt.channel import draw_channel, draw_topology, trial_rng
 from uavwpt.rate import optimal_permutation, weight_decrements
-from uavwpt._kernels import _ref
+from uavwpt._kernels import _ref, bytes_per_row
 
 
 def make_instances(count, n_ues=5, n_antennas=3, seed=20240817):
@@ -90,33 +94,45 @@ def iterations(results):
 
 
 def value_grad_peak(instances):
-    """tracemalloc peak bytes per row of one batch _value_grad at the uniform start."""
+    """tracemalloc peak bytes per row of _invariants and one batch _value_grad at the uniform start."""
     h, dw, budget = (np.stack(column) for column in zip(*instances))
     rows, k_ues, n_antennas = h.shape
-    inv = _ref._invariants(h, dw)
+    picked = np.arange(rows)
     p = np.repeat((budget / k_ues)[:, None], k_ues, axis=1)
     eye = np.eye(n_antennas)
     tracemalloc.start()
     try:
-        _ref._value_grad(inv, slice(None), p, 0.001, eye)
+        inv = _ref._invariants(h[picked], dw[picked])
+        _ref._value_grad(inv, picked, p, 0.001, eye)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return peak / rows
 
 
+def solve_peak(instances):
+    """tracemalloc peak bytes of one solve_pga_batch call on all the instances."""
+    h, dw, budget = (np.stack(column) for column in zip(*instances))
+    tracemalloc.start()
+    try:
+        _ref.solve_pga_batch(h, dw, 0.001, budget, *SETTINGS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def scaling(count):
     """One row per (K, N): batch time per solve, iterations and memory per row."""
-    print(f"{'K':>3} {'N':>2} {'solves':>6} {'us/solve':>10} {'peak B/row':>11} {'B/entry':>8}")
+    print(f"{'K':>3} {'N':>2} {'solves':>6} {'us/solve':>10} {'pool B/row':>11} {'peak B/row':>11}")
     for k_ues in (5, 16, 64):
         solves = max(1, count // {5: 1, 16: 3, 64: 20}[k_ues])
         for n_antennas in (1, 3, 8):
             instances = make_instances(solves, k_ues, n_antennas)
             elapsed, results = run_batch(instances)
-            per_row = value_grad_peak(instances)
-            entries = k_ues**2 * max(k_ues, n_antennas)
             print(f"{k_ues:>3} {n_antennas:>2} {solves:>6} {elapsed / solves * 1e6:>10.1f} "
-                  f"{per_row:>11.0f} {per_row / entries:>8.1f}  {iterations(results)}")
+                  f"{bytes_per_row(k_ues, n_antennas):>11} {value_grad_peak(instances):>11.0f}  "
+                  f"{iterations(results)}")
             if not all(conv for _, _, conv in results):
                 print("WARNING: some solves did not converge")
 
@@ -139,6 +155,9 @@ def main():
         print("WARNING: some solves did not converge")
     print()
     scaling(count)
+    print()
+    peak = solve_peak(make_instances(1024, 16, 8))
+    print(f"solve_pga_batch of 1024 rows at K=16, N=8: tracemalloc peak {peak / 1e6:.1f} MB")
 
 
 if __name__ == "__main__":

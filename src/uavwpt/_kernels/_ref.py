@@ -11,10 +11,12 @@ sum_k dw[k] * logdet(A_k).
 Every kernel also takes a leading batch axis: ``h`` (B, K, N), ``dw`` and
 ``p`` (B, K), ``budget`` (B,).  Rows never mix, and each row's result is
 bitwise the same whatever else is in the batch: the K Cholesky factors of
-all rows come from one stacked LAPACK call, every sum runs in a fixed order
-along its own axis, the dot products use ``np.vecdot``, which matches ``@``
-bit for bit, and the Hessian's Gram matrices are one small ``np.matmul``
-product per row and k.  :func:`solve_pga` is the batch of one.
+all rows come from one stacked LAPACK call, the solves against them are a
+forward substitution written out in numpy, elementwise in a fixed order,
+every sum runs in a fixed order along its own axis, the dot products use
+``np.vecdot``, which matches ``@`` bit for bit, and the Hessian's Gram
+matrices are one small ``np.matmul`` product per row and k.
+:func:`solve_pga` is the batch of one.
 """
 
 import functools
@@ -28,7 +30,6 @@ BACKEND = "python"
 _MAX_BACKTRACK = 60  # 0.5**60 is far below any meaningful step
 _EPS = np.finfo(float).eps
 _RIDGE = 1e-12  # relative to a face's largest curvature: keeps singular faces solvable
-_GRAM_ENTRIES = 1 << 15  # Gram entries per row block of the Hessian (0.5 MB complex)
 
 
 def _cholesky(acc):
@@ -91,52 +92,112 @@ def _value_grad(inv, rows, p, sigma2, eye):
 
     ``inv`` is _invariants of a batch and ``rows`` (a slice or indices)
     picks the rows p belongs to.  A copy of the picked outer products lives
-    only while the factors are built, and the factors only until the solve
-    below is done.
+    only while the factors are built, and the factors only until their
+    entries are gathered for the substitution.
     """
     outer, rhs, lower, dw = inv
     chol = _factors(outer[rows], p, sigma2, eye)
     rhs, lower, dw = rhs[rows], lower[rows], dw[rows]
     value = _weighted_logdets(dw, chol)
-    # sol[b, k, :, m] = L_k^{-1} h_m for every (k, m) pair from one stacked
-    # solve, (B, K, N, K); only m <= k is used.
-    sol = np.linalg.solve(chol, rhs)
+    pivots, below = _planes(chol)
     del chol
-    # d logdet(A_k)/d p[m] = h_m^H A_k^{-1} h_m / sigma2 = ||L_k^{-1} h_m||^2 / sigma2.
-    sq = np.abs(sol)
-    sq **= 2
-    # Antenna sums in antenna order, except user 0's own column, which is one
-    # vector sum (pairwise once N >= 8): the orders of the user-by-user
-    # evaluation, so results keep their bits at every N.
-    first = np.add.reduce(np.ascontiguousarray(sq[:, 0, :, 0]), axis=-1)
-    quad = np.add.accumulate(sq, axis=2, out=sq)[:, :, -1]
-    quad[:, 0, 0] = first
+    # sol[j, m, b, k] = (L_k^{-1} h_m)[j] for every (k, m) pair; only m <= k
+    # is used.
+    sol = _forward_substitute(pivots, below, rhs)
+    del pivots, below
+    # d logdet(A_k)/d p[m] = h_m^H A_k^{-1} h_m / sigma2 = ||L_k^{-1} h_m||^2 / sigma2,
+    # the squares summed in antenna order.
+    sq = np.empty(sol.shape[1:])
+    quad = np.square(np.abs(sol[0], out=sq))
+    for plane in sol[1:]:
+        quad += np.square(np.abs(plane, out=sq), out=sq)
+    del sq
+    quad = quad.transpose(1, 2, 0)  # [b, k, m]
     terms = np.where(lower, dw[:, :, None] * quad / sigma2, 0.0)
-    del sq, quad
-    grad = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
-    return value, grad, _hessian(sol, lower, dw, sigma2)
+    del quad
+    grad = np.add.accumulate(terms, axis=1, out=terms)[:, -1] + 0.0
+    del terms
+    return value, grad, _hessian(sol, dw, sigma2)
 
 
-def _hessian(sol, lower, dw, sigma2):
+def _planes(chol):
+    """The entries of the factors (B, K, N, N) that the substitution reads, as contiguous planes.
+
+    Returns (pivots, below): pivots (N, B, 2K) holds each L[j, j] twice,
+    once for the real and once for the imaginary part it divides, and
+    below[i, j] is L[i, j] of every (b, k), (B, K), for j < i.
+    """
+    diag = np.diagonal(chol, axis1=-2, axis2=-1).real.transpose(2, 0, 1)
+    pivots = np.repeat(diag, 2, axis=-1)
+    pairs = [(i, j) for i in range(chol.shape[-1]) for j in range(i)]
+    rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
+    return pivots, dict(zip(pairs, chol[:, :, rows, cols].transpose(2, 0, 1).copy()))
+
+
+def _forward_substitute(pivots, below, rhs):
+    """L_k^{-1} h_m for every row b, factor k and user m, (N, K, B, K) as [j, m, b, k].
+
+    Column-oriented forward substitution over the N antenna rows, on the
+    factors' :func:`_planes` and the right-hand side h^T (B, 1, N, K):
+    row j is divided by L[j, j], then L[i, j] times it is taken off every
+    later row i in turn.  Every operation is elementwise across rows, in a
+    fixed order, so each row's result is bitwise the same whatever else is
+    in the batch.  Rows and factors are the innermost axes, so each step is
+    one long loop; the only temporary is one (K, B, K) product.
+    """
+    n_antennas, k_ues = rhs.shape[2:]
+    sol = np.empty((n_antennas, k_ues, pivots.shape[1], k_ues), dtype=complex)
+    sol[...] = rhs.transpose(2, 3, 0, 1)  # h[b, m, j] for every k
+    prod = np.empty(sol.shape[1:], dtype=complex) if below else None
+    for j, plane in enumerate(sol):
+        np.divide(plane.view(float), pivots[j], out=plane.view(float))
+        for i in range(j + 1, n_antennas):
+            np.multiply(plane, below[i, j], out=prod)
+            np.subtract(sol[i], prod, out=sol[i])
+    return sol
+
+
+def _hessian(sol, dw, sigma2):
     """-sum_{k >= max(m, n)} dw[k] |<L_k^{-1} h_m, L_k^{-1} h_n>|^2 / sigma2^2, (B, K, K).
 
-    ``sol`` is _value_grad's solve, whose unused columns are zeroed in
-    place.  The (K, K) Gram matrix of each k is built for a block of rows at
-    a time, so no (B, K, K, K) stack exists at full chunk size.
+    ``sol`` is _forward_substitute's (N, K, B, K).  For each k in turn, the
+    (k + 1, k + 1) Gram matrices of the users m <= k are one stacked
+    ``np.matmul`` over the rows, and their terms are added to every entry
+    they reach, so each entry is the sum of its terms in k order and no
+    (B, K, K, K) stack exists.
     """
     n_rows, k_ues = dw.shape
-    sol *= lower[:, :, None, :]
-    cols = np.swapaxes(sol, -1, -2)
     weight = -dw / sigma2 / sigma2
-    hess = np.empty((n_rows, k_ues, k_ues))
-    block = max(1, _GRAM_ENTRIES // k_ues**3)
-    for lo in range(0, n_rows, block):
-        gram = np.matmul(cols[lo : lo + block].conj(), sol[lo : lo + block])
+    # -0.0, not 0.0, is the identity of floating-point addition.
+    hess = np.full((n_rows, k_ues, k_ues), -0.0)
+    for k in range(k_ues):
+        cols = np.ascontiguousarray(sol[:, : k + 1, :, k].transpose(2, 0, 1))  # (B, N, k + 1)
+        gram = np.matmul(cols.transpose(0, 2, 1).conj(), cols)
         terms = np.square(gram.real)
         terms += np.square(gram.imag)
-        terms *= weight[lo : lo + block, :, None, None]
-        hess[lo : lo + block] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+        terms *= weight[:, k, None, None]
+        hess[:, : k + 1, : k + 1] += terms
+        del gram, terms  # before the next k's are built
     return hess
+
+
+def bytes_per_row(k_ues, n_antennas):
+    """Peak bytes one :func:`_value_grad` holds per row, with the row's _invariants.
+
+    Counted from the shapes it allocates, 16 bytes per complex and 8 per
+    float entry, at the largest of three moments: while the factors are
+    built (picked outer products, their sums, the factors), during the
+    substitution (its planes, the picked h^T, the solution and its product)
+    and at the Hessian's last k (the solution, the Hessian, the k-th users'
+    columns and their conjugate, the Gram matrix and its terms).  Python
+    objects and the solver's own per-row state are left out.
+    """
+    c, r, k, n = 16, 8, k_ues, n_antennas
+    invariants = k * n * n * c + n * k * c + k * k + k * r
+    factors = 3 * k * n * n * c
+    substitution = (2 * n + n * (n - 1) // 2) * k * c + (n + 1) * k * k * c
+    hessian = n * k * k * c + 2 * n * k * c + k * k * (c + 3 * r)
+    return invariants + max(factors, substitution, hessian)
 
 
 @_batched

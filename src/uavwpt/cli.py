@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernels import bytes_per_row
 from .channel import (
     draw_channel,
     draw_topology,
@@ -118,13 +119,14 @@ def _draw_trial(cfg, rng, frozen_topology):
 # Trials drawn together, and the most one chunk sends to a solve; it bounds
 # the memory of a cell, whatever sweep.trials is.
 _CHUNK_TRIALS = 1024
-# Working-set bound of one pooled solve, in entries: pooled rows times
-# K^2 max(K, N), the larger of the Hessian's (K, K, K) Gram stack and the
-# (K, N, K) solve of one evaluation per row.  That is 32 rows at K=5, N=3,
-# where one evaluation peaks at about 5.2 kB per row
-# (benchmarks/bench_kernels.py); at K=16, N=8 every chunk is solved alone.
-# Larger pools cut more per-call overhead but measurably raise peak memory.
-_POOL_ENTRIES = 4096
+# Working-set bound of one pooled solve, in bytes: pooled rows times the
+# peak bytes one evaluation holds per row (_kernels.bytes_per_row).  That
+# is 113 rows at K=5, N=3 (3.7 kB each) and 6 at K=16, N=8 (68 kB each),
+# so a stock round of 10-trial cells takes 2 solves and a K=16, N=8 round
+# of 2-trial cells pools 3 cells per solve.  Larger pools cut more numpy
+# per-call overhead but raise a solve's peak memory by as much
+# (benchmarks/bench_kernels.py prints the estimate beside the measured peak).
+_POOL_BYTES = 420_000
 
 
 class _SolvePool:
@@ -133,14 +135,16 @@ class _SolvePool:
     Every cell of a sweep shares the weights, the noise power and the solver
     settings; only the budgets differ, so the rows of several chunks can go
     through one lockstep call.  solve_pga_batch rows never mix, so each
-    result is bitwise what its own chunk's call gives.  A chunk is never
-    split: the pool is flushed before a chunk would take it past
-    _POOL_ENTRIES, and right after it takes one that alone reaches the bound.
+    result is bitwise what its own chunk's call gives.  The pool's working
+    set is its rows times the bytes one evaluation holds per row
+    (bytes_per_row).  A chunk is never split: the pool is flushed before a
+    chunk would take that past _POOL_BYTES, and right after it takes one
+    that alone reaches the bound.
     """
 
     def __init__(self, cfg):
         self._cfg = cfg
-        self._row_entries = cfg.n_ues**2 * max(cfg.n_ues, cfg.n_antennas)
+        self._row_bytes = bytes_per_row(cfg.n_ues, cfg.n_antennas)
         self._queued = []  # (h, budget, objective out, converged out, out indices)
         self._rows = 0
 
@@ -154,11 +158,11 @@ class _SolvePool:
         After the flush that solves them, the rows' objectives and converged
         flags land in ``objective[at]`` and ``converged[at]``.
         """
-        if self._queued and (self._rows + budget.size) * self._row_entries > _POOL_ENTRIES:
+        if self._queued and (self._rows + budget.size) * self._row_bytes > _POOL_BYTES:
             self.flush()
         self._queued.append((h, budget, objective, converged, at))
         self._rows += budget.size
-        if self._rows * self._row_entries >= _POOL_ENTRIES:
+        if self._rows * self._row_bytes >= _POOL_BYTES:
             self.flush()
 
     def flush(self):
@@ -192,16 +196,18 @@ def _draw_chunk(cfg, seed, cell, start, stop, frozen_topology):
     """Uplink and downlink channels of trials start..stop-1 of one cell.
 
     Returns two (stop - start, K, N) arrays; the downlink is the uplink array
-    itself unless cfg.independent_dl.  Each trial's stream makes the calls
-    _draw_trial makes, in the same order, but writes its raw variates into
-    chunk arrays; the channels are then built in one rician_channels call,
-    so every row is bitwise _draw_trial's channel.  The streams are
-    trial_rng's, loaded by state into one generator (see trial_states).
+    itself unless cfg.independent_dl.  Each trial's stream draws the
+    variates _draw_trial draws, in the same order, but writes them into
+    chunk arrays: its uniforms in one call and all its normals in another,
+    which numpy's Generator makes the same bits as one call per K x N block
+    (it keeps no spare normal between calls).  The channels are then built
+    in one rician_channels call, so every row is bitwise _draw_trial's
+    channel.  The streams are trial_rng's, loaded by state into one
+    generator (see trial_states).
     """
     n_trials = stop - start
-    shape = (n_trials, cfg.n_ues, cfg.n_antennas)
-    # Real and imaginary uplink draws, then the downlink pair if any.
-    normals = np.empty((4 if cfg.independent_dl else 2, *shape))
+    # Per trial: real and imaginary uplink draws, then the downlink pair if any.
+    normals = np.empty((n_trials, 4 if cfg.independent_dl else 2, cfg.n_ues, cfg.n_antennas))
     if frozen_topology is None:
         horizontal = np.empty((n_trials, cfg.n_ues))
     else:
@@ -213,11 +219,12 @@ def _draw_chunk(cfg, seed, cell, start, stop, frozen_topology):
         bit_generator.state = state
         if frozen_topology is None:
             horizontal[i] = rng.uniform(cfg.r_min, cfg.r_max, size=cfg.n_ues)
-        for draw in normals:
-            rng.standard_normal(out=draw[i])
+        rng.standard_normal(out=normals[i])
     channels = [
-        rician_channels(cfg.height, horizontal, cfg.alpha, cfg.kappa, re, im)
-        for re, im in zip(normals[0::2], normals[1::2])
+        rician_channels(
+            cfg.height, horizontal, cfg.alpha, cfg.kappa, normals[:, part], normals[:, part + 1]
+        )
+        for part in range(0, normals.shape[1], 2)
     ]
     return channels[0], channels[-1]  # one array unless cfg.independent_dl
 

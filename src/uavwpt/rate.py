@@ -63,8 +63,10 @@ def _check_inputs(p, channels, weights, perm, sigma2):
         raise ValueError("powers and weights must be length-K vectors")
     if sorted(perm.tolist()) != list(range(k_ues)):
         raise ValueError(f"perm must be a permutation of 0..{k_ues - 1}")
-    if np.any(p < 0):
-        raise ValueError("downlink powers must be nonnegative")
+    if not (np.all(np.isfinite(p)) and np.all(p >= 0)):
+        raise ValueError("downlink powers must be finite and nonnegative")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0)):
+        raise ValueError("throughput weights must be finite and nonnegative")
     if not sigma2 > 0:
         raise ValueError("noise power must be positive")
     return p, w, perm

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavwpt import cli
-from uavwpt._kernels import _ref
+from uavwpt._kernels import _ref, bytes_per_row
 from uavwpt.channel import trial_rng
 from uavwpt.cli import SweepSpec, format_csv, run_sweep
 from uavwpt.config import load_config
@@ -285,7 +285,7 @@ def _pooled_sweep(monkeypatch, cfg, spec, bound):
         calls.append(np.array(budgets))
         return solve_batch(h, weights, sigma2, budgets, **kwargs)
 
-    monkeypatch.setattr(cli, "_POOL_ENTRIES", bound)
+    monkeypatch.setattr(cli, "_POOL_BYTES", bound)
     monkeypatch.setattr(cli, "solve_batch", counting)
     rows, warnings = run_sweep(cfg, spec)
     return format_csv(rows), warnings, calls
@@ -308,8 +308,8 @@ def test_pooled_solves_match_cells_solved_alone(monkeypatch, overrides, trials, 
     cfg = load_config(overrides=overrides)
     spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, trials, 11)
     monkeypatch.setattr(cli, "_CHUNK_TRIALS", chunk)
-    bound = cli._POOL_ENTRIES
-    row_entries = cfg.n_ues**2 * max(cfg.n_ues, cfg.n_antennas)
+    bound = cli._POOL_BYTES
+    row_bytes = bytes_per_row(cfg.n_ues, cfg.n_antennas)
     csv, warnings, calls = _pooled_sweep(monkeypatch, cfg, spec, bound)
     # Bound 0: every chunk is solved alone; a huge bound: one call in all.
     alone_csv, alone_warnings, chunks = _pooled_sweep(monkeypatch, cfg, spec, 0)
@@ -329,11 +329,13 @@ def test_pooled_solves_match_cells_solved_alone(monkeypatch, overrides, trials, 
     for budgets in calls:
         assert at + budgets.size in edges
         held = edges.index(at + budgets.size) - edges.index(at)
-        assert budgets.size * row_entries <= bound or held == 1
+        assert budgets.size * row_bytes <= bound or held == 1
         at += budgets.size
     assert at == edges[-1]
-    if row_entries * max(sizes) * 2 <= bound:
+    if row_bytes * max(sizes) * 2 <= bound:
         assert len(calls) < len(chunks)  # small cells do share calls
+    if overrides == _WIDE:
+        assert len(calls) < len(chunks)  # so do the 2-row cells at K=16, N=8
 
 
 def test_chunk_that_reaches_the_bound_is_solved_at_once():
@@ -341,7 +343,7 @@ def test_chunk_that_reaches_the_bound_is_solved_at_once():
     # pool, so its row is ready when run_cell returns; small cells wait.
     cfg = load_config()
     pool = cli._SolvePool(cfg)
-    rows_at_bound = -(-cli._POOL_ENTRIES // (cfg.n_ues**2 * max(cfg.n_ues, cfg.n_antennas)))
+    rows_at_bound = -(-cli._POOL_BYTES // bytes_per_row(cfg.n_ues, cfg.n_antennas))
     big = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, rows_at_bound, 2)
     result = cli.run_cell(cfg, big, 0, pool)
     assert pool.empty
@@ -354,7 +356,7 @@ def test_all_infeasible_sweep_makes_no_kernel_call(monkeypatch):
     # No uplink power: every budget is zero and no trial reaches the solver.
     cfg = load_config(overrides=("ue.p_max=0",))
     spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, 10, 3)
-    csv, warnings, calls = _pooled_sweep(monkeypatch, cfg, spec, cli._POOL_ENTRIES)
+    csv, warnings, calls = _pooled_sweep(monkeypatch, cfg, spec, cli._POOL_BYTES)
     assert calls == [] and warnings == []
     for row in csv.splitlines()[1:]:
         assert row.endswith(",0,0,0,1")

@@ -130,6 +130,24 @@ def test_rate_input_validation():
         dpc_weighted_rate([1.0, 2.0, 3.0], channels, w, [0, 1, 2], 0.0)
 
 
+@pytest.mark.parametrize("rate", [dpc_weighted_rate, dual_weighted_rate])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rate_rejects_non_finite_powers(rate, bad):
+    # Unchecked, a NaN power comes back as value=nan.
+    _, channels = _random_instance(1005, 0, k_lo=2, k_hi=2)
+    with pytest.raises(ValueError, match="powers must be finite"):
+        rate([bad, 1.0], channels, [0.5, 0.5], [0, 1], SIGMA2)
+
+
+@pytest.mark.parametrize("rate", [dpc_weighted_rate, dual_weighted_rate])
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_rate_rejects_negative_or_non_finite_weights(rate, bad):
+    # Unchecked, these give a number, even a negative throughput.
+    _, channels = _random_instance(1005, 0, k_lo=2, k_hi=2)
+    with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+        rate([1.0, 1.0], channels, [bad, 0.5], [0, 1], SIGMA2)
+
+
 def test_permutation_changes_value_but_not_sum_rate():
     # with equal weights the weighted rate telescopes to a permutation-
     # invariant sum rate; unequal weights generically depend on the order
