@@ -15,8 +15,9 @@ hidden global state.  Monte-Carlo code derives one PCG64 stream per
 order-independent.
 
 A sweep does not build a ``SeedSequence`` and a ``PCG64`` per trial.
-:func:`trial_states` computes the PCG64 states of a whole chunk of trials
-at once and the sweep loads each into one reused generator.  The states are
+:func:`trial_states` computes the PCG64 states of a whole chunk of (cell,
+trial) pairs, which may span cells, at once and the sweep loads each into
+one reused generator.  The states are
 bitwise those :func:`trial_rng` seeds, because they come from the same
 integer arithmetic: numpy's ``SeedSequence`` hash (O'Neill's seed_seq_fe,
 https://www.pcg-random.org/posts/developing-a-seed_seq-alternative.html)
@@ -31,7 +32,8 @@ and drawn once from :func:`topology_rng` instead), then K x N standard
 normals for the real and then K x N for the imaginary part of the uplink
 scatter, then, when the downlink gets its own draw, the same real and
 imaginary pair for it.  :func:`draw_topology` and :func:`draw_channel` make
-exactly these calls; a sweep makes the same calls into chunk arrays and
+exactly these calls; a sweep makes the same calls into chunk arrays (the
+uniforms as ``random()``, scaled as ``Generator.uniform`` scales them) and
 builds all of a chunk's channels with one :func:`rician_channels` call.
 """
 
@@ -67,7 +69,10 @@ _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 def _hash(values, hash_const, mult):
-    """One step of the SeedSequence hash on uint32 ``values``; returns (hashed, next constant)."""
+    """One step of the SeedSequence hash on uint32 ``values``; returns (hashed, next constant).
+
+    ``hash_const`` is an int, or a uint32 array of one constant per value.
+    """
     next_const = hash_const * mult & _MASK32
     values = (values ^ np.uint32(hash_const)) * np.uint32(next_const)
     return values ^ (values >> np.uint32(16)), next_const
@@ -78,28 +83,44 @@ def _n_words(value: int) -> int:
     return max(1, -(-value.bit_length() // 32))
 
 
-def trial_states(seed: int, cell: int, trials) -> list:
-    """PCG64 states of :func:`trial_rng` for many trials of one cell.
+def trial_states(seed: int, cell, trials):
+    """PCG64 states of :func:`trial_rng` for many (cell, trial) pairs.
 
-    Returns, for each t in ``trials`` (ints in [0, 2**64)), a dict equal to
-    ``PCG64(SeedSequence(seed, spawn_key=(cell, t))).state``, computed in one
-    vectorised pass; assigning it to a PCG64's ``state`` gives that stream.
+    ``cell`` and ``trials`` (ints in [0, 2**64)) broadcast against each
+    other.  Returns a sized iterable that gives, for each pair in flattened
+    order, a dict equal to ``PCG64(SeedSequence(seed, spawn_key=(cell,
+    t))).state``; assigning it to a PCG64's ``state`` gives that stream.
+    The hashing is one vectorised pass; each dict is built when it is read.
     The SeedSequence hash reads the seed's uint32 words (zero-padded to the
     pool size), then the cell's, then the trial's, and its multipliers
     advance independently of the data.  So the pool after the seed and cell
     words is the pool of the parent sequence
-    ``SeedSequence(seed, spawn_key=(cell,))``, shared by every trial, and
-    only the trial words are mixed per trial.
+    ``SeedSequence(seed, spawn_key=(cell,))``, computed once per distinct
+    cell, and only the trial words are mixed per pair.
     """
-    trials = np.asarray(trials, dtype=np.uint64)
-    pool = np.repeat(np.random.SeedSequence(seed, spawn_key=(cell,)).pool[None], trials.size, 0)
+    cell, trials = (
+        a.ravel()
+        for a in np.broadcast_arrays(
+            np.asarray(cell, dtype=np.uint64), np.asarray(trials, dtype=np.uint64)
+        )
+    )
+    cells, inverse = np.unique(cell, return_inverse=True)
+    pool = np.array(
+        [np.random.SeedSequence(seed, spawn_key=(int(c),)).pool for c in cells],
+        dtype=np.uint32,
+    ).reshape(-1, _POOL_SIZE)[inverse]
     # By then the hash constant has stepped _POOL_SIZE times per entropy word:
     # filling and cross-mixing the pool take 4 + 12 steps for the first four.
-    prefix_words = max(_POOL_SIZE, _n_words(seed)) + _n_words(cell)
-    hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * prefix_words, 1 << 32) & _MASK32
+    # Cells of two words (cell >= 2**32) step it four times more.
+    seed_words = max(_POOL_SIZE, _n_words(seed))
+    one_word, two_words = (
+        _INIT_A * pow(_MULT_A, _POOL_SIZE * (seed_words + n), 1 << 32) & _MASK32 for n in (1, 2)
+    )
+    hash_const = np.where(cell >> np.uint64(32) != 0, two_words, one_word).astype(np.uint32)
     low = (trials & np.uint64(_MASK32)).astype(np.uint32)
     high = (trials >> np.uint64(32)).astype(np.uint32)
     for word, rows in ((low, slice(None)), (high, high != 0)):  # trials >= 2**32 have two words
+        hash_const = hash_const[rows]
         for i in range(_POOL_SIZE):
             mixed, hash_const = _hash(word[rows], hash_const, _MULT_A)
             mix = np.uint32(_MIX_MULT_L) * pool[rows, i] - np.uint32(_MIX_MULT_R) * mixed
@@ -110,20 +131,38 @@ def trial_states(seed: int, cell: int, trials) -> list:
     hash_const = _INIT_B
     for i in range(2 * _POOL_SIZE):
         out[:, i], hash_const = _hash(pool[:, i % _POOL_SIZE], hash_const, _MULT_B)
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in out.astype("<u4").view("<u8").tolist():
-        # PCG64 seeding: two LCG steps from state 0 with inc = 2 * initseq + 1.
-        inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
+    return _PCG64States(out.astype("<u4").view("<u8"))
+
+
+class _PCG64States:
+    """PCG64 state dicts, each built from its seeding words when it is read.
+
+    ``words`` is an (n, 4) uint64 array of SeedSequence outputs
+    (initstate_hi, initstate_lo, initseq_hi, initseq_lo).  Iterating builds
+    one dict at a time, so a chunk's states need not all be held at once.
+    """
+
+    def __init__(self, words):
+        self._words = words
+
+    def __len__(self):
+        return len(self._words)
+
+    def __iter__(self):
+        for words in self._words:
+            yield _pcg64_state(*words.tolist())
+
+
+def _pcg64_state(state_hi, state_lo, seq_hi, seq_lo):
+    # PCG64 seeding: two LCG steps from state 0 with inc = 2 * initseq + 1.
+    inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
+    state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def topology_rng(seed: int) -> np.random.Generator:
@@ -255,9 +294,22 @@ def rician_channels(height, horizontal, alpha, kappa, re, im) -> np.ndarray:
     The operations are elementwise, so a trial's channel is bitwise the same
     whether it is built alone or in a stack.  Parameters are not validated:
     callers pass a validated Topology or a checked config.
+
+    The real and imaginary parts are built in place in the output, without
+    complex temporaries, by the real operations numpy performs for the
+    complex expression above: it divides by sqrt(2) as by the complex
+    number sqrt(2) + 0j, that is by multiplying with 1/sqrt(2), and each
+    real factor's zero imaginary part adds only exact zeros.  So the result
+    is bitwise that expression's, which a test checks.
     """
-    amp = np.hypot(height, horizontal) ** (-alpha / 2.0)
-    scatter = (re + 1j * im) / np.sqrt(2.0)
-    return amp[..., None] * (
-        np.sqrt(kappa / (kappa + 1.0)) + np.sqrt(1.0 / (kappa + 1.0)) * scatter
-    )
+    amp = (np.hypot(height, horizontal) ** (-alpha / 2.0))[..., None]
+    h = np.empty(np.broadcast_shapes(amp.shape, np.shape(re), np.shape(im)), dtype=complex)
+    real, imag = h.real, h.imag
+    np.multiply(re, 1.0 / np.sqrt(2.0), out=real)
+    np.multiply(im, 1.0 / np.sqrt(2.0), out=imag)
+    real *= np.sqrt(1.0 / (kappa + 1.0))
+    imag *= np.sqrt(1.0 / (kappa + 1.0))
+    real += np.sqrt(kappa / (kappa + 1.0))
+    real *= amp
+    imag *= amp
+    return h

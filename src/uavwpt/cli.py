@@ -116,8 +116,8 @@ def _draw_trial(cfg, rng, frozen_topology):
     return topo, channels, downlink
 
 
-# Trials drawn together, and the most one chunk sends to a solve; it bounds
-# the memory of a cell, whatever sweep.trials is.
+# The most trials drawn together, and the most one cell sends to a solve at
+# once; it bounds the memory of a sweep, whatever sweep.trials is.
 _CHUNK_TRIALS = 1024
 # Working-set bound of one pooled solve, in bytes: pooled rows times the
 # peak bytes one evaluation holds per row (_kernels.bytes_per_row).  That
@@ -130,15 +130,16 @@ _POOL_BYTES = 420_000
 
 
 class _SolvePool:
-    """Budgeted trials of consecutive cell chunks, solved in one solve_batch call.
+    """Budgeted trials of consecutive pieces, solved in one solve_batch call.
 
-    Every cell of a sweep shares the weights, the noise power and the solver
-    settings; only the budgets differ, so the rows of several chunks can go
-    through one lockstep call.  solve_pga_batch rows never mix, so each
-    result is bitwise what its own chunk's call gives.  The pool's working
-    set is its rows times the bytes one evaluation holds per row
-    (bytes_per_row).  A chunk is never split: the pool is flushed before a
-    chunk would take that past _POOL_BYTES, and right after it takes one
+    A piece is a run of up to _CHUNK_TRIALS trials of one cell (see
+    _blocks).  Every cell of a sweep shares the weights, the noise power and
+    the solver settings; only the budgets differ, so the rows of several
+    pieces can go through one lockstep call.  solve_pga_batch rows never
+    mix, so each result is bitwise what its own piece's call gives.  The
+    pool's working set is its rows times the bytes one evaluation holds per
+    row (bytes_per_row).  A piece is never split: the pool is flushed before
+    a piece would take that past _POOL_BYTES, and right after it takes one
     that alone reaches the bound.
     """
 
@@ -192,20 +193,44 @@ class _SolvePool:
             start = stop
 
 
-def _draw_chunk(cfg, seed, cell, start, stop, frozen_topology):
-    """Uplink and downlink channels of trials start..stop-1 of one cell.
+def _blocks(n_cells, trials):
+    """The sweep's draw blocks, in sweep order, as lists of (cell, start, stop).
 
-    Returns two (stop - start, K, N) arrays; the downlink is the uplink array
+    Each (cell, start, stop) is a piece: trials start..stop-1 of one cell,
+    with start a multiple of _CHUNK_TRIALS and at most _CHUNK_TRIALS trials.
+    Each cell's pieces are the rows it sends to the solve pool at once.  A
+    block joins consecutive whole pieces, across cells, up to _CHUNK_TRIALS
+    trials in all, so it covers one run of the cell-major (cell, trial)
+    index, and the pool receives the same pieces however they are drawn.
+    """
+    block, size = [], 0
+    for cell in range(n_cells):
+        for start in range(0, trials, _CHUNK_TRIALS):
+            stop = min(start + _CHUNK_TRIALS, trials)
+            if size + stop - start > _CHUNK_TRIALS:
+                yield block
+                block, size = [], 0
+            block.append((cell, start, stop))
+            size += stop - start
+    yield block
+
+
+def _draw_chunk(cfg, seed, cells, trials, frozen_topology):
+    """Uplink and downlink channels of the trials ``trials[i]`` of cells ``cells[i]``.
+
+    Returns two (len(trials), K, N) arrays; the downlink is the uplink array
     itself unless cfg.independent_dl.  Each trial's stream draws the
     variates _draw_trial draws, in the same order, but writes them into
     chunk arrays: its uniforms in one call and all its normals in another,
     which numpy's Generator makes the same bits as one call per K x N block
-    (it keeps no spare normal between calls).  The channels are then built
-    in one rician_channels call, so every row is bitwise _draw_trial's
-    channel.  The streams are trial_rng's, loaded by state into one
-    generator (see trial_states).
+    (it keeps no spare normal between calls).  The uniforms are drawn on
+    [0, 1) and scaled to [r_min, r_max) for the whole chunk at once, by
+    the low + (high - low) * u that Generator.uniform evaluates per
+    variate.  The channels are then built in one rician_channels call, so
+    every row is bitwise _draw_trial's channel.  The streams are
+    trial_rng's, loaded by state into one generator (see trial_states).
     """
-    n_trials = stop - start
+    n_trials = len(trials)
     # Per trial: real and imaginary uplink draws, then the downlink pair if any.
     normals = np.empty((n_trials, 4 if cfg.independent_dl else 2, cfg.n_ues, cfg.n_antennas))
     if frozen_topology is None:
@@ -214,12 +239,15 @@ def _draw_chunk(cfg, seed, cell, start, stop, frozen_topology):
         horizontal = frozen_topology.ue_horizontal_distances
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    trials = np.arange(start, stop, dtype=np.uint64)
-    for i, state in enumerate(trial_states(seed, cell, trials)):
+    for i, state in enumerate(trial_states(seed, cells, trials)):
         bit_generator.state = state
         if frozen_topology is None:
-            horizontal[i] = rng.uniform(cfg.r_min, cfg.r_max, size=cfg.n_ues)
+            rng.random(out=horizontal[i])
         rng.standard_normal(out=normals[i])
+    if frozen_topology is None:
+        # What Generator.uniform(r_min, r_max) computes from each random().
+        horizontal *= cfg.r_max - cfg.r_min
+        horizontal += cfg.r_min
     channels = [
         rician_channels(
             cfg.height, horizontal, cfg.alpha, cfg.kappa, normals[:, part], normals[:, part + 1]
@@ -229,61 +257,23 @@ def _draw_chunk(cfg, seed, cell, start, stop, frozen_topology):
     return channels[0], channels[-1]  # one array unless cfg.independent_dl
 
 
-def run_cell(cfg, spec: SweepSpec, cell_index: int, pool, frozen_topology=None):
-    """Draw all trials of one sweep cell and queue their solves on ``pool``.
-
-    Returns a function of no arguments that gives the cell's (SweepRow,
-    nonconverged count).  Call it once ``pool`` holds none of the cell's
-    trials, that is after the pool is flushed or whenever it is empty.
-
-    Trials are drawn in chunks of up to _CHUNK_TRIALS.  Each trial still
-    draws from its own stream, one after another, but only the generator
-    calls stay per trial: the variates go into chunk arrays and the chunk's
-    channels are built in one pass (_draw_chunk).  The uplink harvest then
-    runs on the whole chunk.  Full-power MRT delivers
-    |h_k^H w_k|^2 = p_max_k ||h_k||^2, so the harvester input is computed in
-    closed form without building beams.  A zero-budget trial is optimal at
-    p = 0 with throughput 0 and never reaches the solver; the chunk's other
-    trials go to ``pool`` together.  Every trial's result is bitwise what
-    the per-trial draw and solve give.
-    """
-    p_cir, c = spec.cells[cell_index]
-    sys_cfg = cfg.system(circuit_power=p_cir, eh_c=c)
-    throughputs = np.zeros(spec.trials)
-    budgets = np.empty(spec.trials)
-    converged = np.ones(spec.trials, dtype=bool)
-    for start in range(0, spec.trials, _CHUNK_TRIALS):
-        stop = min(start + _CHUNK_TRIALS, spec.trials)
-        uplink, downlink = _draw_chunk(
-            cfg, spec.seed, cell_index, start, stop, frozen_topology
-        )
-        budget = compute_budget(
-            max_harvest(sys_cfg.eh, sys_cfg.p_max, uplink),
-            sys_cfg.amp_efficiency,
-            sys_cfg.circuit_power,
-        )
-        budgets[start:stop] = budget
-        solved = np.flatnonzero(budget > 0.0)
-        if solved.size:
-            pool.add(downlink[solved], budget[solved], throughputs, converged, start + solved)
-
-    def result():
-        mean = float(np.mean(throughputs))
-        if spec.trials > 1:
-            ci95 = float(1.96 * np.std(throughputs, ddof=1) / math.sqrt(spec.trials))
-        else:
-            ci95 = 0.0
-        row = SweepRow(
-            p_cir=p_cir,
-            c=c,
-            mean_throughput=mean,
-            ci95_halfwidth=ci95,
-            mean_budget=float(np.mean(budgets)),
-            fraction_infeasible=float(np.mean(budgets == 0.0)),
-        )
-        return row, int(np.count_nonzero(~converged))
-
-    return result
+def run_cell(p_cir, c, throughputs, budgets, converged):
+    """A cell's (SweepRow, nonconverged count) from its trials' results."""
+    trials = throughputs.size
+    mean = float(np.mean(throughputs))
+    if trials > 1:
+        ci95 = float(1.96 * np.std(throughputs, ddof=1) / math.sqrt(trials))
+    else:
+        ci95 = 0.0
+    row = SweepRow(
+        p_cir=p_cir,
+        c=c,
+        mean_throughput=mean,
+        ci95_halfwidth=ci95,
+        mean_budget=float(np.mean(budgets)),
+        fraction_infeasible=float(np.mean(budgets == 0.0)),
+    )
+    return row, int(np.count_nonzero(~converged))
 
 
 def run_sweep(cfg, spec: SweepSpec = None, bits=False):
@@ -293,28 +283,75 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
     solves.  With cfg.frozen_topology one topology draw (from the reserved
     stream) is shared by every cell and trial; fading is always redrawn.
 
-    run_cell draws the cells one after another and queues their budgeted
-    trials on one _SolvePool, so small cells share a lockstep solve while
-    a chunk that reaches the pool's bound is solved alone.  Rows are built
-    whenever the pool is empty, so a sweep of large cells keeps one cell's
-    trials at a time, as before.
+    The trials are drawn in blocks of the cell-major (cell, trial) index
+    that may span cells (_blocks).  Each trial still draws from its own
+    stream, one after another, but only the generator calls stay per trial:
+    the variates go into block arrays and the block's channels are built in
+    one pass (_draw_chunk).  The uplink harvest then runs on the whole
+    block.  Full-power MRT delivers |h_k^H w_k|^2 = p_max_k ||h_k||^2, so
+    the harvester input is computed in closed form without building beams,
+    and each row gets its cell's c and P_cir.  A zero-budget trial is
+    optimal at p = 0 with throughput 0 and never reaches the solver; each
+    piece's other trials go to one _SolvePool, so small cells share a
+    lockstep solve while a piece that reaches the pool's bound is solved
+    alone.  A cell's row is built by run_cell once the pool holds none of
+    its trials, so a sweep of large cells keeps one cell's trials at a
+    time.  Every trial's result is bitwise what the per-trial draw and
+    solve give.
     """
     if spec is None:
         spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, cfg.trials, cfg.seed)
     frozen = _frozen_topology(cfg, spec.seed)
+    grid = spec.cells
+    # One SystemConfig per cell validates its parameters; the cells differ
+    # only in P_cir and c, which each row takes from its cell below.
+    systems = [cfg.system(circuit_power=p_cir, eh_c=c) for p_cir, c in grid]
+    p_cir_of = np.array([s.circuit_power for s in systems])
+    c_of = np.array([s.eh.c for s in systems])
+    shared = systems[0]
     pool = _SolvePool(cfg)
     results = []
-    pending = []
-    for cell_index in range(len(spec.cells)):
-        pending.append(run_cell(cfg, spec, cell_index, pool, frozen_topology=frozen))
+    drawn = {}  # cell -> (throughputs, budgets, converged) until its row is built
+
+    def finish(n_cells):
+        """Build the rows of the cells before ``n_cells`` that have none yet."""
+        for i in range(len(results), n_cells):
+            results.append(run_cell(*grid[i], *drawn.pop(i)))
+
+    for block in _blocks(len(grid), spec.trials):
+        (first_cell, lo, _), (last_cell, _, hi) = block[0], block[-1]
+        flat = np.arange(first_cell * spec.trials + lo, last_cell * spec.trials + hi)
+        row_cell, row_trial = np.divmod(flat, spec.trials)
+        uplink, downlink = _draw_chunk(cfg, spec.seed, row_cell, row_trial, frozen)
+        budget = compute_budget(
+            max_harvest(shared.eh, shared.p_max, uplink, c_of[row_cell]),
+            shared.amp_efficiency,
+            p_cir_of[row_cell],
+        )
+        at = 0
+        for cell, start, stop in block:
+            if start == 0:
+                drawn[cell] = (
+                    np.zeros(spec.trials),
+                    np.empty(spec.trials),
+                    np.ones(spec.trials, dtype=bool),
+                )
+            throughputs, budgets, converged = drawn[cell]
+            piece = budget[at : at + stop - start]
+            budgets[start:stop] = piece
+            solved = np.flatnonzero(piece > 0.0)
+            if solved.size:
+                pool.add(
+                    downlink[at + solved], piece[solved], throughputs, converged, start + solved
+                )
+            at += stop - start
         if pool.empty:
-            results += [result() for result in pending]
-            pending.clear()
+            finish(last_cell + (hi == spec.trials))
     pool.flush()
-    results += [result() for result in pending]
+    finish(len(grid))
     rows = []
     warnings = []
-    for (p_cir, c), (row, nonconverged) in zip(spec.cells, results):
+    for (p_cir, c), (row, nonconverged) in zip(grid, results):
         if bits:
             row = replace(
                 row,

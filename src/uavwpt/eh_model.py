@@ -68,31 +68,38 @@ class EhParams:
         object.__setattr__(self, "m", compute_m(self.a, self.b))
 
 
-def harvest(params: EhParams, p_in):
+def harvest(params: EhParams, p_in, c=None):
     """Output power (mW) of the harvester for input RF power ``p_in`` (mW).
 
-    Accepts a scalar or ndarray.  The result is clipped to [0, c]; the upper
+    Accepts a scalar or ndarray.  ``c`` replaces ``params.c`` as the
+    saturation level; it may be an array that broadcasts against ``p_in``,
+    so that one call serves harvesters that differ only in c (the offset m
+    depends on a and b alone).  The result is clipped to [0, c]; the upper
     end is attained only through floating-point saturation of the logistic
     term, the true curve stays strictly below c.
     """
     arr = np.asarray(p_in, dtype=float)
     if np.any(arr < 0):
         raise ValueError("input power must be nonnegative")
+    if c is None:
+        c = params.c
+    elif np.any(np.asarray(c) <= 0):
+        raise ValueError("saturation power must be positive")
     # At p_in = 0 the sigmoid argument is -a*b, the same evaluation that
     # produced m, so the subtraction cancels exactly.
     sig = _sigmoid(params.a * (arr - params.b))
-    out = np.clip(params.c * (sig - params.m) / (1.0 - params.m), 0.0, params.c)
-    return out if arr.ndim else float(out)
+    out = np.clip(c * (sig - params.m) / (1.0 - params.m), 0.0, c)
+    return out if out.ndim else float(out)
 
 
-def max_harvest(params: EhParams, p_max, channels):
+def max_harvest(params: EhParams, p_max, channels, c=None):
     """Harvested power when every UE beamforms at full power along its channel.
 
     With maximal ratio transmission the input power is sum_k p_max_k*||h_k||^2,
     the largest value any per-UE power-capped beamformer set can deliver.
     ``channels`` is a ChannelRealization or a stack of channel matrices of
     shape (..., K, N); the result is a float or an array of the stack's
-    leading shape.
+    leading shape.  ``c`` is passed on to :func:`harvest`.
     """
     h = np.asarray(getattr(channels, "h", channels))
     caps = np.asarray(p_max, dtype=float)
@@ -103,4 +110,4 @@ def max_harvest(params: EhParams, p_max, channels):
     if np.any(caps < 0):
         raise ValueError("per-UE power caps must be nonnegative")
     gains = np.sum(np.abs(h) ** 2, axis=-1)
-    return harvest(params, np.sum(caps * gains, axis=-1))
+    return harvest(params, np.sum(caps * gains, axis=-1), c)

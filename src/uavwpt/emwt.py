@@ -70,16 +70,17 @@ class EmwtResult:
     solve: SolveReport
 
 
-def compute_budget(p_out, amp_efficiency: float, circuit_power: float):
+def compute_budget(p_out, amp_efficiency: float, circuit_power):
     """Downlink power budget left after circuit power and amplifier loss.
 
     The supply must cover (1/phi) * sum(p) + P_CIR, so the total transmit
     power is capped at phi * (p_out - P_CIR), clamped at zero when the
-    harvested supply cannot even run the circuits.  ``p_out`` is a scalar
-    (float result) or an array of supplies (array result).
+    harvested supply cannot even run the circuits.  ``p_out`` and
+    ``circuit_power`` are scalars (float result) or arrays that broadcast
+    against each other (array result).
     """
     p_out = np.asarray(p_out, dtype=float)
-    if np.any(p_out < 0) or circuit_power < 0:
+    if np.any(p_out < 0) or np.any(np.asarray(circuit_power) < 0):
         raise ValueError("powers must be nonnegative")
     if not 0 < amp_efficiency <= 1:
         raise ValueError("amplifier efficiency must be in (0, 1]")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from uavwpt import cli
 from uavwpt._kernels import _ref, bytes_per_row
-from uavwpt.channel import trial_rng
+from uavwpt.channel import trial_rng, trial_states
 from uavwpt.cli import SweepSpec, format_csv, run_sweep
 from uavwpt.config import load_config
 from uavwpt.eh_model import max_harvest
@@ -225,13 +225,23 @@ def test_solve_batch_matches_solve_power_allocation():
 
 
 def test_sweep_is_independent_of_the_chunk_size(monkeypatch):
-    cfg = load_config(overrides=("ue.p_max=3", "sweep.p_cir=40,80", "solver.max_iter=9"))
-    spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, 30, 5)
-    rows, warnings = run_sweep(cfg, spec)
-    monkeypatch.setattr(cli, "_CHUNK_TRIALS", 7)
-    small_rows, small_warnings = run_sweep(cfg, spec)
-    assert format_csv(small_rows) == format_csv(rows)
-    assert small_warnings == warnings
+    # Chunks of 1 and 7 split 30-trial cells; 45 and 1024 span 1-trial
+    # cells, and 1024 spans 30-trial cells too.
+    configs = (
+        ("ue.p_max=3", "sweep.p_cir=40,80", "solver.max_iter=9"),
+        ("topology.frozen=true", "channel.independent_dl=true", "solver.max_iter=9"),
+    )
+    for overrides in configs:
+        cfg = load_config(overrides=overrides)
+        for trials in (1, 30):
+            spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, trials, 5)
+            monkeypatch.setattr(cli, "_CHUNK_TRIALS", 1024)
+            rows, warnings = run_sweep(cfg, spec)
+            for chunk in (1, 7, 45):
+                monkeypatch.setattr(cli, "_CHUNK_TRIALS", chunk)
+                small_rows, small_warnings = run_sweep(cfg, spec)
+                assert format_csv(small_rows) == format_csv(rows)
+                assert small_warnings == warnings
 
 
 def test_nonconverged_warnings_unchanged():
@@ -339,17 +349,56 @@ def test_pooled_solves_match_cells_solved_alone(monkeypatch, overrides, trials, 
 
 
 def test_chunk_that_reaches_the_bound_is_solved_at_once():
-    # A cell of large chunks (the full stock sweep) holds no chunk in the
-    # pool, so its row is ready when run_cell returns; small cells wait.
+    # A piece of a large cell (the full stock sweep) is solved as soon as
+    # the pool takes it, so its cell's row can be built at once; a small
+    # piece waits for the pool to fill.
     cfg = load_config()
     pool = cli._SolvePool(cfg)
     rows_at_bound = -(-cli._POOL_BYTES // bytes_per_row(cfg.n_ues, cfg.n_antennas))
-    big = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, rows_at_bound, 2)
-    result = cli.run_cell(cfg, big, 0, pool)
+    trials = np.arange(rows_at_bound)
+    uplink, _ = cli._draw_chunk(cfg, 2, np.zeros_like(trials), trials, None)
+    sys_cfg = cfg.system(circuit_power=cfg.sweep_p_cir[0], eh_c=cfg.sweep_c[0])
+    budgets = compute_budget(
+        max_harvest(sys_cfg.eh, sys_cfg.p_max, uplink),
+        sys_cfg.amp_efficiency,
+        sys_cfg.circuit_power,
+    )
+    assert np.all(budgets > 0.0)
+    throughputs = np.zeros(rows_at_bound)
+    converged = np.zeros(rows_at_bound, dtype=bool)
+    pool.add(uplink, budgets, throughputs, converged, trials)
     assert pool.empty
-    assert result()[0].mean_throughput > 0.0
-    cli.run_cell(cfg, SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, 1, 2), 0, pool)
+    row, nonconverged = cli.run_cell(
+        sys_cfg.circuit_power, sys_cfg.eh.c, throughputs, budgets, converged
+    )
+    assert row.mean_throughput > 0.0 and nonconverged == 0
+    pool.add(uplink[:1], budgets[:1], throughputs, converged, trials[:1])
     assert not pool.empty
+
+
+def test_stock_round_draws_once_and_solves_as_blocks_of_one_cell(monkeypatch):
+    # An 18 x 10 round draws in one block; blocks of one cell each (chunks
+    # of 10 trials) make the same solve calls, budget for budget.
+    cfg = load_config()
+    spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, 10, 21)
+
+    def sweep(chunk):
+        draws = []
+
+        def counting(seed, cells, trials):
+            draws.append(np.unique(cells).size)
+            return trial_states(seed, cells, trials)
+
+        monkeypatch.setattr(cli, "_CHUNK_TRIALS", chunk)
+        monkeypatch.setattr(cli, "trial_states", counting)
+        return _pooled_sweep(monkeypatch, cfg, spec, cli._POOL_BYTES) + (draws,)
+
+    csv, warnings, calls, draws = sweep(1024)
+    alone_csv, alone_warnings, alone_calls, alone_draws = sweep(spec.trials)
+    assert draws == [18] and alone_draws == [1] * 18
+    assert csv == alone_csv and warnings == alone_warnings
+    assert len(calls) == 2
+    assert [c.tobytes() for c in calls] == [c.tobytes() for c in alone_calls]
 
 
 def test_all_infeasible_sweep_makes_no_kernel_call(monkeypatch):
@@ -370,12 +419,17 @@ def test_all_infeasible_sweep_makes_no_kernel_call(monkeypatch):
     frozen=st.booleans(),
     independent_dl=st.booleans(),
     seed=st.integers(0, 2**63),
-    cell=st.integers(0, 17),
-    start=st.one_of(st.integers(0, 50), st.integers(2**32 - 20, 2**32 + 20)),
-    n_trials=st.integers(1, 20),
+    pairs=st.lists(
+        st.tuples(
+            st.integers(0, 17),
+            st.one_of(st.integers(0, 50), st.integers(2**32 - 20, 2**32 + 20)),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
 )
 def test_chunked_draw_equals_per_trial_draws(
-    k, n, kappa, frozen, independent_dl, seed, cell, start, n_trials
+    k, n, kappa, frozen, independent_dl, seed, pairs
 ):
     cfg = load_config(
         overrides=(
@@ -388,17 +442,17 @@ def test_chunked_draw_equals_per_trial_draws(
         )
     )
     frozen_topology = cli._frozen_topology(cfg, seed)
-    stop = start + n_trials
-    uplink, downlink = cli._draw_chunk(cfg, seed, cell, start, stop, frozen_topology)
+    cells, trials = (np.array(column) for column in zip(*pairs))
+    uplink, downlink = cli._draw_chunk(cfg, seed, cells, trials, frozen_topology)
 
-    trials = [
+    drawn = [
         cli._draw_trial(cfg, trial_rng(seed, cell=cell, trial=t), frozen_topology)
-        for t in range(start, stop)
+        for cell, t in pairs
     ]
-    want_up = np.stack([up.h for _, up, _ in trials])
-    want_down = np.stack([(up if down is None else down).h for _, up, down in trials])
+    want_up = np.stack([up.h for _, up, _ in drawn])
+    want_down = np.stack([(up if down is None else down).h for _, up, down in drawn])
     for got, want in ((uplink, want_up), (downlink, want_down)):
-        assert got.shape == want.shape == (n_trials, k, n)
+        assert got.shape == want.shape == (len(pairs), k, n)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
     assert (downlink is uplink) == (not independent_dl)

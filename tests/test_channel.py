@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavwpt.channel import (
@@ -14,6 +14,7 @@ from uavwpt.channel import (
     draw_topology,
     link_distance,
     pathloss_gain,
+    rician_channels,
     topology_rng,
     trial_rng,
     trial_states,
@@ -212,3 +213,53 @@ def test_trial_states_are_the_trial_rng_streams(seed, cell, trials):
 def test_trial_states_of_the_reserved_topology_key(seed):
     (state,) = trial_states(seed, 0xFFFFFFFF, [0xFFFFFFFF])
     _assert_stream_is(state, topology_rng(seed))
+
+
+_RESERVED = (0xFFFFFFFF, 0xFFFFFFFF)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_SEEDS,
+    pairs=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from([0, 1, 17]), _KEYS),  # repeated cells
+            st.tuples(_KEYS, _KEYS),
+            st.just(_RESERVED),
+        ),
+        max_size=8,
+    ),
+)
+@example(seed=7, pairs=[(0, 3), _RESERVED, (2**40, 2**33), (0, 4), (2**32 - 1, 0)])
+def test_trial_states_over_per_row_cells(seed, pairs):
+    # Cells of one and two words step the hash constant differently.
+    states = trial_states(seed, [c for c, _ in pairs], [t for _, t in pairs])
+    assert len(states) == len(pairs)
+    for (cell, t), state in zip(pairs, states):
+        want = topology_rng(seed) if (cell, t) == _RESERVED else trial_rng(seed, cell, t)
+        _assert_stream_is(state, want)
+
+
+def test_trial_states_broadcast_a_cell_list_against_one_trial():
+    states = trial_states(3, [0, 2**33, 5], 9)
+    for cell, state in zip([0, 2**33, 5], states):
+        _assert_stream_is(state, trial_rng(3, cell, 9))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 2.0, 1e-3, 1e3])
+@pytest.mark.parametrize(
+    "horizontal_shape,normal_shape",
+    [((5,), (5, 3)), ((40, 5), (40, 5, 3)), ((5,), (40, 5, 3)), ((7, 1), (7, 1, 8))],
+)
+def test_rician_channels_are_the_complex_formula(kappa, horizontal_shape, normal_shape):
+    rng = np.random.default_rng(12)
+    horizontal = rng.uniform(0.0, 100.0, horizontal_shape)
+    re, im = rng.standard_normal(normal_shape), rng.standard_normal(normal_shape)
+    got = rician_channels(50.0, horizontal, 2.5, kappa, re, im)
+    amp = np.hypot(50.0, horizontal) ** (-2.5 / 2.0)
+    scatter = (re + 1j * im) / np.sqrt(2.0)
+    want = amp[..., None] * (
+        np.sqrt(kappa / (kappa + 1.0)) + np.sqrt(1.0 / (kappa + 1.0)) * scatter
+    )
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

@@ -113,6 +113,17 @@ def test_harvest_scalar_and_vector_agree():
         assert harvest(params, float(x)) == v
 
 
+def test_harvest_with_a_saturation_per_element():
+    # Harvesters that differ only in c share a and b, hence m and the sigmoid.
+    xs = np.array([0.0, B / 2, B, 2 * B, 1.0, B])
+    cs = np.array([100.0, 200.0, 100.0, 150.0, 200.0, 1e-3])
+    got = harvest(EhParams(A, B, C), xs, cs)
+    assert got.tolist() == [harvest(EhParams(A, B, c), float(x)) for x, c in zip(xs, cs)]
+    assert harvest(EhParams(A, B, C), B, 100.0) == harvest(EhParams(A, B, 100.0), B)
+    with pytest.raises(ValueError):
+        harvest(EhParams(A, B, C), xs, np.where(cs == 1e-3, 0.0, cs))
+
+
 def test_max_harvest_single_unit_channel():
     from uavwpt.channel import ChannelRealization
 
@@ -156,6 +167,11 @@ def test_max_harvest_on_a_stack_matches_each_instance():
     batched = max_harvest(params, caps, np.stack([ch.h for ch in stack]))
     assert batched.shape == (6,)
     assert batched.tolist() == [max_harvest(params, caps, ch) for ch in stack]
+    cs = np.array([100.0, 200.0, 50.0, 100.0, 1.0, 200.0])
+    per_row = max_harvest(params, caps, np.stack([ch.h for ch in stack]), cs)
+    assert per_row.tolist() == [
+        max_harvest(EhParams(A, 3.0, c), caps, ch) for c, ch in zip(cs, stack)
+    ]
 
 
 def test_max_harvest_rejects_bad_caps():

@@ -49,6 +49,26 @@ def test_compute_budget_on_an_array_matches_scalars():
         compute_budget(np.array([1.0, -1.0]), 0.8, 40.0)
 
 
+def test_compute_budget_with_an_array_circuit_power():
+    # A sweep budgets the rows of many cells at once, each at its own P_cir.
+    p_out = np.array([100.0, 75.0, 10.0, 5.0, 6.0])
+    circuit = np.array([40.0, 75.0, 5.0, 1.0, 2.0])
+    budget = compute_budget(p_out, 0.8, circuit)
+    assert budget.tolist() == [
+        compute_budget(float(p), 0.8, float(c)) for p, c in zip(p_out, circuit)
+    ]
+    assert compute_budget(np.array([5.0, 6.0]), 0.8, np.array([1.0, 2.0])).shape == (2,)
+    # A scalar supply broadcasts against the circuit powers.
+    assert compute_budget(50.0, 0.8, np.array([40.0, 60.0])).tolist() == [
+        compute_budget(50.0, 0.8, 40.0),
+        0.0,
+    ]
+    with pytest.raises(ValueError, match="powers must be nonnegative"):
+        compute_budget(np.array([5.0, 6.0]), 0.8, np.array([1.0, -2.0]))
+    with pytest.raises(ValueError, match="powers must be nonnegative"):
+        compute_budget(5.0, 0.8, np.array([-1.0]))
+
+
 def test_compute_budget_validation():
     with pytest.raises(ValueError):
         compute_budget(-1.0, 0.8, 40.0)
