@@ -1,35 +1,49 @@
-"""Time the solver kernel one instance at a time and as one batch.
+"""Time the C solver kernel beside the numpy reference on the same instances.
 
-Usage: python3 benchmarks/bench_kernels.py [n_solves]
+Usage: python3 benchmarks/bench_kernels.py [n_solves] [--json PATH]
 
-Draws seeded random downlink instances and solves them twice: one
-``solve_pga`` call per instance, then all of them in one ``solve_pga_batch``
-call, as sweeps do.  For each entry it reports per-solve wall time, Cholesky
-factorisations per solve (counted in an untimed pass) and solver iterations
-(p50, p99, max).  It warns if the batch rows differ from the lone solves or
-if any solve did not converge.
+Draws seeded random downlink instances at K=5, N=3 (``n_solves`` of them,
+300 by default) and K=16, N=8 (a third as many) and solves them with
+``uavwpt._kernels._ref`` (before) and the compiled ``uavwpt._kernels``
+(after): one ``solve_pga`` call per instance ("lone"), then all of them in
+one ``solve_pga_batch`` call ("batch"), as sweeps do.  Each timing is
+repeated REPEATS times; the table gives the median and quartiles of the
+wall time per solve, the speedup of the medians, solver iterations (p50,
+p99, max) and the largest objective gap between the two kernels.  It warns
+when a gap exceeds 1e-12 relative, when a batch row differs from its lone
+solve, or when a solve did not converge.  Each (K, N) line ends with the
+bytes per row that the sweep's solve pool counts for ``_ref``
+(``uavwpt._kernels.bytes_per_row``, bounded by ``uavwpt.cli._POOL_BYTES``)
+beside the tracemalloc peak per row of one ``_ref`` batch evaluation.
 
-A scaling table follows for K in {5, 16, 64} users and N in {1, 3, 8}
-antennas: per-solve time of one batch call, iterations, the bytes per row
-that the sweep's solve pool counts (``uavwpt._kernels.bytes_per_row``,
-bounded by ``uavwpt.cli._POOL_BYTES``) and, beside it, the tracemalloc peak
-per row of one batch ``_value_grad`` at the uniform start, with the rows'
-invariants, picking its rows by index as the line search does.  K=64 runs
-n_solves // 20 instances and K=16 n_solves // 3.  Last comes the
-tracemalloc peak of one 1024-row ``solve_pga_batch`` at K=16, N=8, the
-sweep's largest chunk there.  A default run takes about 5 s and peaks at
-about 140 MB of RSS.
+``--json PATH`` also writes the results with the machine (CPU, cores,
+Python, numpy, compiler) and the commit.  A default run takes about 7 s
+on a 2-core Xeon, nearly all of it in ``_ref``.
 """
 
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+from uavwpt import _kernels
+from uavwpt._kernels import _c, _ref, bytes_per_row
 from uavwpt.channel import draw_channel, draw_topology, trial_rng
 from uavwpt.rate import optimal_permutation, weight_decrements
-from uavwpt._kernels import _ref, bytes_per_row
+
+SETTINGS = (1e-8, 1e-6, 10_000, 1e-4, 0.5)  # tol, kkt_tol, max_iter, armijo, shrink
+SIGMA2 = 0.001
+REPEATS = 5
+SHAPES = ((5, 3, 1), (16, 8, 3))  # K, N and the divisor of n_solves
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_instances(count, n_ues=5, n_antennas=3, seed=20240817):
@@ -47,117 +61,140 @@ def make_instances(count, n_ues=5, n_antennas=3, seed=20240817):
     return instances
 
 
-SETTINGS = (1e-8, 1e-6, 10_000, 1e-4, 0.5)  # tol, kkt_tol, max_iter, armijo, shrink
+def lone(kernel, instances):
+    """Objectives, iterations and converged flags of one solve_pga call per instance."""
+    out = [kernel.solve_pga(hp, dw, SIGMA2, budget, *SETTINGS) for hp, dw, budget in instances]
+    _, f, iterations, _, converged = zip(*out)
+    return [np.array(f), np.array(iterations), np.array(converged)]
 
 
-def run(instances):
-    results = []
-    start = time.perf_counter()
-    for hp, dw, budget in instances:
-        p, f, iters, kkt, conv = _ref.solve_pga(hp, dw, 0.001, budget, *SETTINGS)
-        results.append((f, iters, conv))
-    elapsed = time.perf_counter() - start
-    return elapsed, results
-
-
-def run_batch(instances):
+def batch(kernel, instances):
+    """The same from one solve_pga_batch call."""
     h, dw, budget = (np.stack(column) for column in zip(*instances))
-    start = time.perf_counter()
-    _, f, iters, _, conv = _ref.solve_pga_batch(h, dw, 0.001, budget, *SETTINGS)
-    elapsed = time.perf_counter() - start
-    return elapsed, list(zip(f.tolist(), iters.tolist(), conv.tolist()))
+    _, f, iterations, _, converged = kernel.solve_pga_batch(h, dw, SIGMA2, budget, *SETTINGS)
+    return [f, iterations, converged]
 
 
-def factorisations(solve):
-    """Cholesky factorisations ``solve()`` makes, counting each stacked matrix."""
-    real = _ref._cholesky
-    count = 0
-
-    def counting(acc):
-        nonlocal count
-        count += acc.shape[0]
-        return real(acc)
-
-    _ref._cholesky = counting
-    try:
-        solve()
-    finally:
-        _ref._cholesky = real
-    return count
-
-
-def iterations(results):
-    """Iterations per solve as p50 / p99 / max."""
-    its = np.array([it for _, it, _ in results])
-    p50, p99 = np.percentile(its, [50, 99], method="inverted_cdf")
-    return f"iterations {p50:g} / {p99:g} / {its.max()}"
+def timed(run, kernel, instances):
+    """(us per solve of each repeat, the last repeat's results)."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        results = run(kernel, instances)
+        times.append((time.perf_counter() - start) / len(instances) * 1e6)
+    return times, results
 
 
 def value_grad_peak(instances):
-    """tracemalloc peak bytes per row of _invariants and one batch _value_grad at the uniform start."""
+    """tracemalloc peak bytes per row of _invariants and one _ref batch evaluation."""
     h, dw, budget = (np.stack(column) for column in zip(*instances))
     rows, k_ues, n_antennas = h.shape
     picked = np.arange(rows)
     p = np.repeat((budget / k_ues)[:, None], k_ues, axis=1)
-    eye = np.eye(n_antennas)
     tracemalloc.start()
     try:
         inv = _ref._invariants(h[picked], dw[picked])
-        _ref._value_grad(inv, picked, p, 0.001, eye)
+        _ref._value_grad(inv, picked, p, SIGMA2, np.eye(n_antennas))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return peak / rows
 
 
-def solve_peak(instances):
-    """tracemalloc peak bytes of one solve_pga_batch call on all the instances."""
-    h, dw, budget = (np.stack(column) for column in zip(*instances))
-    tracemalloc.start()
-    try:
-        _ref.solve_pga_batch(h, dw, 0.001, budget, *SETTINGS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak
+def summary(times):
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median": median, "quartiles": [q1, q3]}
 
 
-def scaling(count):
-    """One row per (K, N): batch time per solve, iterations and memory per row."""
-    print(f"{'K':>3} {'N':>2} {'solves':>6} {'us/solve':>10} {'pool B/row':>11} {'peak B/row':>11}")
-    for k_ues in (5, 16, 64):
-        solves = max(1, count // {5: 1, 16: 3, 64: 20}[k_ues])
-        for n_antennas in (1, 3, 8):
-            instances = make_instances(solves, k_ues, n_antennas)
-            elapsed, results = run_batch(instances)
-            print(f"{k_ues:>3} {n_antennas:>2} {solves:>6} {elapsed / solves * 1e6:>10.1f} "
-                  f"{bytes_per_row(k_ues, n_antennas):>11} {value_grad_peak(instances):>11.0f}  "
-                  f"{iterations(results)}")
-            if not all(conv for _, _, conv in results):
+def measure(count):
+    """One record per (K, N, mode), printed as a table row as it is measured."""
+    records = []
+    print(f"{'K':>3} {'N':>2} {'mode':>5} {'solves':>6} {'_ref us':>9} {'C us':>8} "
+          f"{'speedup':>8}  iterations p50/p99/max  max rel gap")
+    for k_ues, n_antennas, divisor in SHAPES:
+        instances = make_instances(max(1, count // divisor), k_ues, n_antennas)
+        rows = {}
+        for mode, run in (("lone", lone), ("batch", batch)):
+            before, (f_ref, _, conv_ref) = timed(run, _ref, instances)
+            after, (f, iterations, converged) = timed(run, _kernels, instances)
+            rows[mode] = (f, iterations, converged)
+            gap = float(np.max(np.abs(f - f_ref) / np.abs(f_ref)))
+            p50, p99 = np.percentile(iterations, [50, 99], method="inverted_cdf")
+            record = {
+                "k": k_ues, "n": n_antennas, "mode": mode, "solves": len(instances),
+                "before_us_per_solve": summary(before), "after_us_per_solve": summary(after),
+                "iterations": [int(p50), int(p99), int(iterations.max())],
+                "max_relative_objective_gap": gap,
+            }
+            record["speedup"] = (record["before_us_per_solve"]["median"]
+                                 / record["after_us_per_solve"]["median"])
+            records.append(record)
+            print(f"{k_ues:>3} {n_antennas:>2} {mode:>5} {len(instances):>6} "
+                  f"{record['before_us_per_solve']['median']:>9.1f} "
+                  f"{record['after_us_per_solve']['median']:>8.1f} {record['speedup']:>7.1f}x  "
+                  f"{p50:>10g} / {p99:g} / {iterations.max()}  {gap:>11.1e}")
+            if gap > 1e-12:
+                print(f"WARNING: objectives differ from _ref by {gap:.1e} relative")
+            if not (converged.all() and conv_ref.all()):
                 print("WARNING: some solves did not converge")
+        if any(not np.array_equal(a, b) for a, b in zip(rows["lone"], rows["batch"])):
+            print("WARNING: batch rows differ from the lone solves")
+        print(f"        _ref pool bytes per row {bytes_per_row(k_ues, n_antennas)}, "
+              f"measured peak {value_grad_peak(instances):.0f}")
+    return records
 
 
-def main():
-    count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
-    instances = make_instances(count)
+def machine():
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            cpu = next(line.split(":", 1)[1].strip() for line in handle
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    try:
+        compiler = subprocess.run([*_c.compiler_command(), "--version"], capture_output=True,
+                                  text=True, timeout=30).stdout.splitlines()[0]
+    except (OSError, subprocess.SubprocessError, IndexError):
+        compiler = None
+    return {
+        "cpu": cpu, "cores": os.cpu_count(), "python": platform.python_version(),
+        "numpy": np.__version__, "compiler": compiler, "backend": _kernels.BACKEND,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
 
-    t_lone, r_lone = run(instances)
-    print(f"lone solves : {t_lone:8.3f} s total, {t_lone / count * 1e6:9.1f} us/solve, "
-          f"{factorisations(lambda: run(instances)) / count:5.1f} factorisations/solve, "
-          f"{iterations(r_lone)}")
-    t_batch, r_batch = run_batch(instances)
-    print(f"batch       : {t_batch:8.3f} s total, {t_batch / count * 1e6:9.1f} us/solve, "
-          f"{factorisations(lambda: run_batch(instances)) / count:5.1f} factorisations/solve, "
-          f"{iterations(r_batch)}")
-    if r_batch != r_lone:
-        print("WARNING: batch rows differ from the single solves")
-    if not all(conv for _, _, conv in r_lone + r_batch):
-        print("WARNING: some solves did not converge")
-    print()
-    scaling(count)
-    print()
-    peak = solve_peak(make_instances(1024, 16, 8))
-    print(f"solve_pga_batch of 1024 rows at K=16, N=8: tracemalloc peak {peak / 1e6:.1f} MB")
+
+def commit():
+    try:
+        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                              capture_output=True, text=True, timeout=30).stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("n_solves", nargs="?", type=int, default=300)
+    parser.add_argument("--json", type=Path, help="also write the results to this file")
+    args = parser.parse_args(argv)
+    if _kernels.BACKEND != "c":
+        print("WARNING: the C kernel did not build; both columns time _ref")
+    records = measure(args.n_solves)
+    if args.json:
+        document = {
+            "label": "c_kernel",
+            "harness": "benchmarks/bench_kernels.py",
+            "command": " ".join(["python3", "benchmarks/bench_kernels.py", *sys.argv[1:]]),
+            "commit": commit(),
+            "machine": machine(),
+            "before": "uavwpt._kernels._ref (numpy, rows in lockstep)",
+            "after": "uavwpt._kernels (kernel.c through ctypes, row by row)",
+            "unit": "us per solve, wall time, median and quartiles of repeats",
+            "repeats": REPEATS,
+            "settings": {"sigma2": SIGMA2, "tol_kkt_tol_max_iter_armijo_shrink": SETTINGS},
+            "results": records,
+        }
+        args.json.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -25,8 +25,6 @@ import numpy as np
 
 from ..errors import ConsistencyError
 
-BACKEND = "python"
-
 _MAX_BACKTRACK = 60  # 0.5**60 is far below any meaningful step
 _EPS = np.finfo(float).eps
 _RIDGE = 1e-12  # relative to a face's largest curvature: keeps singular faces solvable
@@ -277,16 +275,22 @@ def solve_pga(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
 
     Returns (p, objective, iterations, kkt_residual, converged).
     """
-    p, f, iterations, kkt, converged = solve_pga_batch(
+    return solve_one(solve_pga_batch, h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo,
+                     shrink)
+
+
+def solve_one(solve_batch, h, dw, sigma2, budget, *settings):
+    """One instance through a solve_pga_batch, as Python scalars beside p.
+
+    ``settings`` are (tol, kkt_tol, max_iter, armijo, shrink).  Returns
+    (p, objective, iterations, kkt_residual, converged).
+    """
+    p, f, iterations, kkt, converged = solve_batch(
         np.asarray(h, dtype=complex)[None],
         np.asarray(dw, dtype=float)[None],
         sigma2,
         np.array([budget], dtype=float),
-        tol,
-        kkt_tol,
-        max_iter,
-        armijo,
-        shrink,
+        *settings,
     )
     return p[0], float(f[0]), int(iterations[0]), float(kkt[0]), bool(converged[0])
 

@@ -17,7 +17,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .channel import (
     trial_states,
 )
 from .config import ConfigError, defaults_text, load_config
-from .eh_model import max_harvest
+from .eh_model import EhParams, max_harvest
 from .emwt import compute_budget, run_emwt
 from .solver import solve_batch
 
@@ -40,7 +41,7 @@ _LN2 = math.log(2.0)
 CSV_HEADER = "p_cir,c,mean_throughput,ci95,mean_budget,frac_infeasible"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSpec:
     """The sweep grid: circuit powers x saturation levels, trials, seed."""
 
@@ -70,6 +71,32 @@ class SweepRow:
     ci95_halfwidth: float
     mean_budget: float
     fraction_infeasible: float
+
+
+class SweepRows(Sequence):
+    """A sweep's rows in grid order: one SweepRow per (p_cir, c) cell, built on access.
+
+    The four statistics of every cell live in one (cells, 4) float array
+    beside the spec, so a sweep that is kept holds one small array instead
+    of a row object and four float objects per cell.  Indexing builds the
+    rows it returns; a slice is a list.
+    """
+
+    __slots__ = ("_spec", "_stats")
+
+    def __init__(self, spec, stats):
+        self._spec = spec
+        self._stats = stats
+
+    def __len__(self):
+        return len(self._stats)
+
+    def __iter__(self):
+        for cell, stats in zip(self._spec.cells, self._stats.tolist()):
+            yield SweepRow(*cell, *stats)
+
+    def __getitem__(self, index):
+        return list(self)[index]
 
 
 def _fmt(x: float) -> str:
@@ -120,12 +147,14 @@ def _draw_trial(cfg, rng, frozen_topology):
 # once; it bounds the memory of a sweep, whatever sweep.trials is.
 _CHUNK_TRIALS = 1024
 # Working-set bound of one pooled solve, in bytes: pooled rows times the
-# peak bytes one evaluation holds per row (_kernels.bytes_per_row).  That
-# is 113 rows at K=5, N=3 (3.7 kB each) and 6 at K=16, N=8 (68 kB each),
-# so a stock round of 10-trial cells takes 2 solves and a K=16, N=8 round
-# of 2-trial cells pools 3 cells per solve.  Larger pools cut more numpy
-# per-call overhead but raise a solve's peak memory by as much
-# (benchmarks/bench_kernels.py prints the estimate beside the measured peak).
+# peak bytes one evaluation of the numpy reference kernel holds per row
+# (_kernels.bytes_per_row).  That is 113 rows at K=5, N=3 (3.7 kB each) and
+# 6 at K=16, N=8 (68 kB each), so a stock round of 10-trial cells takes 2
+# solves and a K=16, N=8 round of 2-trial cells pools 3 cells per solve.
+# Larger pools cut more numpy per-call overhead but raise the reference's
+# peak memory by as much (benchmarks/bench_kernels.py prints the estimate
+# beside the measured peak).  The C kernel solves row by row in a few kB,
+# so there the bound only sets how many rows share one call.
 _POOL_BYTES = 420_000
 
 
@@ -258,20 +287,28 @@ def _draw_chunk(cfg, seed, cells, trials, frozen_topology):
 
 
 def run_cell(p_cir, c, throughputs, budgets, converged):
-    """A cell's (SweepRow, nonconverged count) from its trials' results."""
+    """A cell's (SweepRow, nonconverged count) from its trials' results.
+
+    The statistics are the bits np.mean and np.std(ddof=1) give, computed
+    as they compute them: a pairwise np.add.reduce, then one division (the
+    standard deviation sums the squared deviations from that mean and
+    divides by trials - 1), without their per-call overhead.
+    """
     trials = throughputs.size
-    mean = float(np.mean(throughputs))
+    mean = np.add.reduce(throughputs) / trials
     if trials > 1:
-        ci95 = float(1.96 * np.std(throughputs, ddof=1) / math.sqrt(trials))
+        deviation = throughputs - mean
+        variance = np.add.reduce(np.multiply(deviation, deviation, out=deviation)) / (trials - 1)
+        ci95 = float(1.96 * math.sqrt(variance) / math.sqrt(trials))
     else:
         ci95 = 0.0
     row = SweepRow(
         p_cir=p_cir,
         c=c,
-        mean_throughput=mean,
+        mean_throughput=float(mean),
         ci95_halfwidth=ci95,
-        mean_budget=float(np.mean(budgets)),
-        fraction_infeasible=float(np.mean(budgets == 0.0)),
+        mean_budget=float(np.add.reduce(budgets) / trials),
+        fraction_infeasible=float(np.count_nonzero(budgets == 0.0) / trials),
     )
     return row, int(np.count_nonzero(~converged))
 
@@ -279,9 +316,10 @@ def run_cell(p_cir, c, throughputs, budgets, converged):
 def run_sweep(cfg, spec: SweepSpec = None, bits=False):
     """Monte-Carlo sweep over every (p_cir, c) cell.
 
-    Returns (rows, warnings); warnings report cells with nonconverged
-    solves.  With cfg.frozen_topology one topology draw (from the reserved
-    stream) is shared by every cell and trial; fading is always redrawn.
+    Returns (rows, warnings): rows is a SweepRows, and warnings report
+    cells with nonconverged solves.  With cfg.frozen_topology one topology
+    draw (from the reserved stream) is shared by every cell and trial;
+    fading is always redrawn.
 
     The trials are drawn in blocks of the cell-major (cell, trial) index
     that may span cells (_blocks).  Each trial still draws from its own
@@ -303,12 +341,16 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
         spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, cfg.trials, cfg.seed)
     frozen = _frozen_topology(cfg, spec.seed)
     grid = spec.cells
-    # One SystemConfig per cell validates its parameters; the cells differ
-    # only in P_cir and c, which each row takes from its cell below.
-    systems = [cfg.system(circuit_power=p_cir, eh_c=c) for p_cir, c in grid]
-    p_cir_of = np.array([s.circuit_power for s in systems])
-    c_of = np.array([s.eh.c for s in systems])
-    shared = systems[0]
+    # The cells differ only in P_cir and c, which each row takes from its
+    # cell below.  One SystemConfig validates the shared parameters,
+    # SweepSpec has checked that every P_cir is nonnegative, and one
+    # EhParams per distinct c checks that c is positive (the harvester
+    # offset m depends on a and b alone).
+    shared = cfg.system()
+    for c in set(spec.c_values):
+        EhParams(shared.eh.a, shared.eh.b, c)
+    p_cir_of = np.array([p_cir for p_cir, _ in grid], dtype=float)
+    c_of = np.array([c for _, c in grid], dtype=float)
     pool = _SolvePool(cfg)
     results = []
     drawn = {}  # cell -> (throughputs, budgets, converged) until its row is built
@@ -349,22 +391,20 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
             finish(last_cell + (hi == spec.trials))
     pool.flush()
     finish(len(grid))
-    rows = []
-    warnings = []
-    for (p_cir, c), (row, nonconverged) in zip(grid, results):
-        if bits:
-            row = replace(
-                row,
-                mean_throughput=row.mean_throughput / _LN2,
-                ci95_halfwidth=row.ci95_halfwidth / _LN2,
-            )
-        rows.append(row)
-        if nonconverged:
-            warnings.append(
-                f"cell p_cir={p_cir:g} c={c:g}: {nonconverged} of {spec.trials} "
-                "trials did not converge"
-            )
-    return rows, warnings
+    stats = np.empty((len(results), 4))
+    for i, (row, _) in enumerate(results):
+        stats[i] = (
+            row.mean_throughput, row.ci95_halfwidth, row.mean_budget, row.fraction_infeasible
+        )
+    if bits:
+        stats[:, :2] /= _LN2
+    warnings = [
+        f"cell p_cir={p_cir:g} c={c:g}: {nonconverged} of {spec.trials} "
+        "trials did not converge"
+        for (p_cir, c), (_, nonconverged) in zip(grid, results)
+        if nonconverged
+    ]
+    return SweepRows(spec, stats), warnings
 
 
 def single_record(cfg, bits=False) -> dict:

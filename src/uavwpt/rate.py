@@ -19,8 +19,8 @@ nonnegative, making the second form a concave function of p; that is the
 objective the power-allocation solver maximizes.
 
 Rates are in nats.  Determinants and the gradient are evaluated by the
-solver's kernels (uavwpt._kernels._ref), through Cholesky factors of the
-explicitly accumulated A_k.
+numpy reference kernels (uavwpt._kernels._ref), through Cholesky factors
+of the explicitly accumulated A_k.
 """
 
 from dataclasses import dataclass

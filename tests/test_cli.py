@@ -195,3 +195,42 @@ def test_sweep_rows_carry_no_instance_dict_and_pickle():
     assert not hasattr(row, "__dict__")
     assert pickle.loads(pickle.dumps(row)) == row
     assert replace(row, c=200.0).c == 200.0
+
+
+def test_sweep_rows_index_like_a_list_and_keep_one_array():
+    import gc
+    import tracemalloc
+
+    from uavwpt.cli import SweepRow, run_sweep
+
+    cfg = load_config(overrides=("sweep.p_cir=40,60,80",))
+    spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, 3, 11)
+    rows, _ = run_sweep(cfg, spec)
+    listed = list(rows)
+    assert len(rows) == len(listed) == len(spec.cells) == 6
+    assert all(isinstance(row, SweepRow) for row in listed)
+    assert [(row.p_cir, row.c) for row in listed] == spec.cells
+    assert rows[0] == listed[0] and rows[-1] == listed[-1]
+    assert rows[1:] == listed[1:] and isinstance(rows[1:], list)
+    with pytest.raises(IndexError):
+        rows[6]
+    bits, _ = run_sweep(cfg, spec, bits=True)
+    for row, row_bits in zip(rows, bits):
+        assert row_bits.mean_throughput == row.mean_throughput / math.log(2.0)
+        assert row_bits.ci95_halfwidth == row.ci95_halfwidth / math.log(2.0)
+        assert row_bits.mean_budget == row.mean_budget
+    # A kept sweep holds its statistics in one array, not objects per row.
+    # A list of 6 SweepRow objects with their floats alone takes over 1 kB.
+    kept = []
+    tracemalloc.start()
+    try:
+        for seed in range(60):
+            if seed == 20:  # after any one-time allocations
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+            kept.append(run_sweep(cfg, SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, 1, seed))[0])
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / 40 < 1000  # bytes per kept sweep of 6 cells, spec included

@@ -6,7 +6,11 @@ single_default.json were rewritten when the solver became projected Newton:
 one Newton step is not one gradient step, and the single solve stops at a
 point 1e-9 relative away.  single_default.json was rewritten again when
 the solves against the Cholesky factors became forward substitution: three
-allocation entries and the KKT residual moved in their last digit.  A
+allocation entries and the KKT residual moved in their last digit.  It
+was rewritten once more when the solve moved to the C kernel, whose
+factorisations round unlike LAPACK's: the same three allocation entries,
+the objective (and the weighted throughput it equals) and the KKT
+residual moved in their last digits.  A
 change that moves any byte here changes what users get from the same
 config and seed.  Never regenerate a file to make this test pass: find out
 why the bytes moved.

@@ -6,6 +6,7 @@ return value; a rename or a signature change would break it silently.
 
 import importlib
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -37,10 +38,13 @@ def test_benchmark_checks_self_test_passes():
 def test_every_traced_site_resolves():
     for name, module_name, attr in _load_spans()._SITES:
         assert callable(getattr(importlib.import_module(module_name), attr)), name
-    # perfbench/worker.py records the backend name with every run.
+    # perfbench/worker.py records the backend name with every run.  With a
+    # C compiler present the benchmark, like Tier-1, must run the C kernel.
     import uavwpt
+    from uavwpt._kernels import _c
 
-    assert uavwpt.BACKEND == "python"
+    have_cc = shutil.which(_c.compiler_command()[0]) is not None
+    assert uavwpt.BACKEND == ("c" if have_cc else "python")
 
 
 def test_scalar_solve_pga_returns_five_tuple():
