@@ -11,10 +11,7 @@ repeated REPEATS times; the table gives the median and quartiles of the
 wall time per solve, the speedup of the medians, solver iterations (p50,
 p99, max) and the largest objective gap between the two kernels.  It warns
 when a gap exceeds 1e-12 relative, when a batch row differs from its lone
-solve, or when a solve did not converge.  Each (K, N) line ends with the
-bytes per row that the sweep's solve pool counts for ``_ref``
-(``uavwpt._kernels.bytes_per_row``, bounded by ``uavwpt.cli._POOL_BYTES``)
-beside the tracemalloc peak per row of one ``_ref`` batch evaluation.
+solve, or when a solve did not converge.
 
 ``--json PATH`` also writes the results with the machine (CPU, cores,
 Python, numpy, compiler) and the commit.  A default run takes about 7 s
@@ -29,13 +26,12 @@ import statistics
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from uavwpt import _kernels
-from uavwpt._kernels import _c, _ref, bytes_per_row
+from uavwpt._kernels import _c, _ref
 from uavwpt.channel import draw_channel, draw_topology, trial_rng
 from uavwpt.rate import optimal_permutation, weight_decrements
 
@@ -85,22 +81,6 @@ def timed(run, kernel, instances):
     return times, results
 
 
-def value_grad_peak(instances):
-    """tracemalloc peak bytes per row of _invariants and one _ref batch evaluation."""
-    h, dw, budget = (np.stack(column) for column in zip(*instances))
-    rows, k_ues, n_antennas = h.shape
-    picked = np.arange(rows)
-    p = np.repeat((budget / k_ues)[:, None], k_ues, axis=1)
-    tracemalloc.start()
-    try:
-        inv = _ref._invariants(h[picked], dw[picked])
-        _ref._value_grad(inv, picked, p, SIGMA2, np.eye(n_antennas))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / rows
-
-
 def summary(times):
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
     return {"median": median, "quartiles": [q1, q3]}
@@ -139,8 +119,6 @@ def measure(count):
                 print("WARNING: some solves did not converge")
         if any(not np.array_equal(a, b) for a, b in zip(rows["lone"], rows["batch"])):
             print("WARNING: batch rows differ from the lone solves")
-        print(f"        _ref pool bytes per row {bytes_per_row(k_ues, n_antennas)}, "
-              f"measured peak {value_grad_peak(instances):.0f}")
     return records
 
 

@@ -19,13 +19,11 @@ relative, not bit for bit; the CLI's printed outputs (the sweep CSV at
 12 significant digits) stay the same.  ``_ref`` remains the reference the
 tests compare with and the evaluator behind :mod:`uavwpt.rate`; its
 objective, gradient, projection and KKT residual are exported here as
-they are.  ``bytes_per_row`` sizes a batch: the peak bytes one ``_ref``
-evaluation holds per row.
+they are.
 """
 
 from . import _c, _ref
 from ._ref import (
-    bytes_per_row,
     dual_objective,
     dual_objective_grad,
     kkt_residual,

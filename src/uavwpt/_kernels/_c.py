@@ -6,10 +6,11 @@ None when it cannot be built or loaded.  The library is cached as
 SHA-256 of the source, the compile flags and the machine type, so a warm
 import only loads it: no compiler and no sysconfig lookup.  A cold cache
 compiles with sysconfig's ``CC`` into a temporary name, moved into place
-with ``os.replace`` so that concurrent imports never load a partial file.
-When that directory cannot be written, the build goes to a temporary
-directory that is removed once the library is loaded.  Compiler output is
-captured, never printed.
+with ``os.replace`` so that concurrent imports never load a partial file;
+the other ``kernel-*.so`` files there, built from older sources or flags,
+are then removed.  When that directory cannot be written, the build goes
+to a temporary directory that is removed once the library is loaded.
+Compiler output is captured, never printed.
 """
 
 import ctypes
@@ -100,9 +101,10 @@ def _build(cached):
     """Compile kernel.c into ``cached`` and open it; OSError if that fails.
 
     The compiler writes a temporary file beside ``cached`` that is then
-    moved into place.  Where that directory cannot be written, the library
-    is built for this process alone in a temporary directory; once loaded,
-    it stays mapped after its file is removed.
+    moved into place, and the other libraries there are removed: a process
+    that loaded one keeps it mapped.  Where that directory cannot be
+    written, the library is built for this process alone in a temporary
+    directory; once loaded, it stays mapped after its file is removed.
     """
     import subprocess
     import tempfile
@@ -122,7 +124,11 @@ def _build(cached):
             os.replace(tmp, cached)
         finally:
             Path(tmp).unlink(missing_ok=True)
-        return CKernel(_open(cached))
+        kernel = CKernel(_open(cached))
+        for stale in cached.parent.glob("kernel-*.so"):
+            if stale != cached:
+                stale.unlink(missing_ok=True)
+        return kernel
     except subprocess.SubprocessError as exc:
         raise OSError(f"cannot compile {SOURCE.name}") from exc
 

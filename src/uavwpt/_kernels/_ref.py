@@ -179,25 +179,6 @@ def _hessian(sol, dw, sigma2):
     return hess
 
 
-def bytes_per_row(k_ues, n_antennas):
-    """Peak bytes one :func:`_value_grad` holds per row, with the row's _invariants.
-
-    Counted from the shapes it allocates, 16 bytes per complex and 8 per
-    float entry, at the largest of three moments: while the factors are
-    built (picked outer products, their sums, the factors), during the
-    substitution (its planes, the picked h^T, the solution and its product)
-    and at the Hessian's last k (the solution, the Hessian, the k-th users'
-    columns and their conjugate, the Gram matrix and its terms).  Python
-    objects and the solver's own per-row state are left out.
-    """
-    c, r, k, n = 16, 8, k_ues, n_antennas
-    invariants = k * n * n * c + n * k * c + k * k + k * r
-    factors = 3 * k * n * n * c
-    substitution = (2 * n + n * (n - 1) // 2) * k * c + (n + 1) * k * k * c
-    hessian = n * k * k * c + 2 * n * k * c + k * k * (c + 3 * r)
-    return invariants + max(factors, substitution, hessian)
-
-
 @_batched
 def dual_objective(h, dw, p, sigma2):
     """sum_k dw[k] * logdet(I + sum_{n<=k} (p[n]/sigma2) h_n h_n^H)."""

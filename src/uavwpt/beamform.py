@@ -26,19 +26,21 @@ def mrt(h: np.ndarray, p_max: float) -> np.ndarray:
 
 
 def mrt_set(channels, p_max) -> np.ndarray:
-    """Full-power MRT beamformers for every UE, shape (K, N).
+    """Full-power MRT beamformers for every UE, shape (K, N): row k is mrt(h_k, p_max_k).
 
     A UE whose channel vector is exactly zero (impossible under the fading
     model, reachable in synthetic tests) gets a zero beam instead of an error.
+    The norms are summed as np.linalg.norm sums them, so every row is
+    bitwise what mrt gives.
     """
     caps = np.broadcast_to(np.asarray(p_max, dtype=float), (channels.n_ues,))
-    beams = np.zeros_like(channels.h)
-    for k in range(channels.n_ues):
-        try:
-            beams[k] = mrt(channels.h[k], caps[k])
-        except ZeroChannelError:
-            pass
-    return beams
+    if np.any(caps < 0):
+        raise ValueError("power cap must be nonnegative")
+    h = channels.h
+    norms = np.sqrt(np.vecdot(h.real, h.real) + np.vecdot(h.imag, h.imag))[:, None]
+    return np.divide(
+        np.sqrt(caps)[:, None] * h, norms, out=np.zeros_like(h), where=norms != 0.0
+    )
 
 
 def input_power(channels, beams: np.ndarray) -> float:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import bytes_per_row
 from .channel import (
     draw_channel,
     draw_topology,
@@ -143,83 +142,9 @@ def _draw_trial(cfg, rng, frozen_topology):
     return topo, channels, downlink
 
 
-# The most trials drawn together, and the most one cell sends to a solve at
-# once; it bounds the memory of a sweep, whatever sweep.trials is.
+# The most trials drawn, harvested and solved together; it bounds the
+# memory of a sweep, whatever sweep.trials is.
 _CHUNK_TRIALS = 1024
-# Working-set bound of one pooled solve, in bytes: pooled rows times the
-# peak bytes one evaluation of the numpy reference kernel holds per row
-# (_kernels.bytes_per_row).  That is 113 rows at K=5, N=3 (3.7 kB each) and
-# 6 at K=16, N=8 (68 kB each), so a stock round of 10-trial cells takes 2
-# solves and a K=16, N=8 round of 2-trial cells pools 3 cells per solve.
-# Larger pools cut more numpy per-call overhead but raise the reference's
-# peak memory by as much (benchmarks/bench_kernels.py prints the estimate
-# beside the measured peak).  The C kernel solves row by row in a few kB,
-# so there the bound only sets how many rows share one call.
-_POOL_BYTES = 420_000
-
-
-class _SolvePool:
-    """Budgeted trials of consecutive pieces, solved in one solve_batch call.
-
-    A piece is a run of up to _CHUNK_TRIALS trials of one cell (see
-    _blocks).  Every cell of a sweep shares the weights, the noise power and
-    the solver settings; only the budgets differ, so the rows of several
-    pieces can go through one lockstep call.  solve_pga_batch rows never
-    mix, so each result is bitwise what its own piece's call gives.  The
-    pool's working set is its rows times the bytes one evaluation holds per
-    row (bytes_per_row).  A piece is never split: the pool is flushed before
-    a piece would take that past _POOL_BYTES, and right after it takes one
-    that alone reaches the bound.
-    """
-
-    def __init__(self, cfg):
-        self._cfg = cfg
-        self._row_bytes = bytes_per_row(cfg.n_ues, cfg.n_antennas)
-        self._queued = []  # (h, budget, objective out, converged out, out indices)
-        self._rows = 0
-
-    @property
-    def empty(self):
-        return not self._queued
-
-    def add(self, h, budget, objective, converged, at):
-        """Queue (B, K, N) channels with their positive budgets (B,).
-
-        After the flush that solves them, the rows' objectives and converged
-        flags land in ``objective[at]`` and ``converged[at]``.
-        """
-        if self._queued and (self._rows + budget.size) * self._row_bytes > _POOL_BYTES:
-            self.flush()
-        self._queued.append((h, budget, objective, converged, at))
-        self._rows += budget.size
-        if self._rows * self._row_bytes >= _POOL_BYTES:
-            self.flush()
-
-    def flush(self):
-        """Solve every queued row in one call and deliver the results."""
-        if not self._queued:
-            return
-        queued, self._queued, self._rows = self._queued, [], 0
-        if len(queued) == 1:
-            h, budget = queued[0][:2]
-        else:
-            h = np.concatenate([q[0] for q in queued])
-            budget = np.concatenate([q[1] for q in queued])
-        cfg = self._cfg
-        _, objective, _, _, converged = solve_batch(
-            h,
-            cfg.weights,
-            cfg.noise_power,
-            budget,
-            tol=cfg.solver_tol,
-            max_iter=cfg.solver_max_iter,
-        )
-        start = 0
-        for _, _, objective_out, converged_out, at in queued:
-            stop = start + at.size
-            objective_out[at] = objective[start:stop]
-            converged_out[at] = converged[start:stop]
-            start = stop
 
 
 def _blocks(n_cells, trials):
@@ -227,10 +152,9 @@ def _blocks(n_cells, trials):
 
     Each (cell, start, stop) is a piece: trials start..stop-1 of one cell,
     with start a multiple of _CHUNK_TRIALS and at most _CHUNK_TRIALS trials.
-    Each cell's pieces are the rows it sends to the solve pool at once.  A
-    block joins consecutive whole pieces, across cells, up to _CHUNK_TRIALS
-    trials in all, so it covers one run of the cell-major (cell, trial)
-    index, and the pool receives the same pieces however they are drawn.
+    A block joins consecutive whole pieces, across cells, up to
+    _CHUNK_TRIALS trials in all, so it covers one run of the cell-major
+    (cell, trial) index: many small cells, or one piece of a large cell.
     """
     block, size = [], 0
     for cell in range(n_cells):
@@ -329,13 +253,12 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
     block.  Full-power MRT delivers |h_k^H w_k|^2 = p_max_k ||h_k||^2, so
     the harvester input is computed in closed form without building beams,
     and each row gets its cell's c and P_cir.  A zero-budget trial is
-    optimal at p = 0 with throughput 0 and never reaches the solver; each
-    piece's other trials go to one _SolvePool, so small cells share a
-    lockstep solve while a piece that reaches the pool's bound is solved
-    alone.  A cell's row is built by run_cell once the pool holds none of
-    its trials, so a sweep of large cells keeps one cell's trials at a
-    time.  Every trial's result is bitwise what the per-trial draw and
-    solve give.
+    optimal at p = 0 with throughput 0 and never reaches the solver; the
+    block's other trials go to one solve_batch call, whose rows are solved
+    independently.  A cell's row is built by run_cell right after the block
+    that holds its last piece, so a sweep of large cells keeps one cell's
+    trials at a time.  Every trial's result is bitwise what the per-trial
+    draw and solve give.
     """
     if spec is None:
         spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, cfg.trials, cfg.seed)
@@ -351,15 +274,8 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
         EhParams(shared.eh.a, shared.eh.b, c)
     p_cir_of = np.array([p_cir for p_cir, _ in grid], dtype=float)
     c_of = np.array([c for _, c in grid], dtype=float)
-    pool = _SolvePool(cfg)
     results = []
     drawn = {}  # cell -> (throughputs, budgets, converged) until its row is built
-
-    def finish(n_cells):
-        """Build the rows of the cells before ``n_cells`` that have none yet."""
-        for i in range(len(results), n_cells):
-            results.append(run_cell(*grid[i], *drawn.pop(i)))
-
     for block in _blocks(len(grid), spec.trials):
         (first_cell, lo, _), (last_cell, _, hi) = block[0], block[-1]
         flat = np.arange(first_cell * spec.trials + lo, last_cell * spec.trials + hi)
@@ -370,27 +286,33 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
             shared.amp_efficiency,
             p_cir_of[row_cell],
         )
+        throughput = np.zeros(budget.size)
+        converged = np.ones(budget.size, dtype=bool)
+        solved = np.flatnonzero(budget > 0.0)
+        if solved.size:
+            _, objective, _, _, ok = solve_batch(
+                downlink[solved],
+                cfg.weights,
+                cfg.noise_power,
+                budget[solved],
+                tol=cfg.solver_tol,
+                max_iter=cfg.solver_max_iter,
+            )
+            throughput[solved] = objective
+            converged[solved] = ok
         at = 0
         for cell, start, stop in block:
             if start == 0:
                 drawn[cell] = (
-                    np.zeros(spec.trials),
                     np.empty(spec.trials),
-                    np.ones(spec.trials, dtype=bool),
+                    np.empty(spec.trials),
+                    np.empty(spec.trials, dtype=bool),
                 )
-            throughputs, budgets, converged = drawn[cell]
-            piece = budget[at : at + stop - start]
-            budgets[start:stop] = piece
-            solved = np.flatnonzero(piece > 0.0)
-            if solved.size:
-                pool.add(
-                    downlink[at + solved], piece[solved], throughputs, converged, start + solved
-                )
+            for out, part in zip(drawn[cell], (throughput, budget, converged)):
+                out[start:stop] = part[at : at + stop - start]
             at += stop - start
-        if pool.empty:
-            finish(last_cell + (hi == spec.trials))
-    pool.flush()
-    finish(len(grid))
+            if stop == spec.trials:
+                results.append(run_cell(*grid[cell], *drawn.pop(cell)))
     stats = np.empty((len(results), 4))
     for i, (row, _) in enumerate(results):
         stats[i] = (

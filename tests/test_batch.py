@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavwpt import cli
-from uavwpt._kernels import _ref, bytes_per_row
+from uavwpt._kernels import _ref
 from uavwpt.channel import trial_rng, trial_states
 from uavwpt.cli import SweepSpec, format_csv, run_sweep
 from uavwpt.config import load_config
@@ -286,8 +286,8 @@ _WIDE = ("ue.count=16", "ue.antennas=8", "ue.weights=" + ",".join(
     f"{1.0 - 0.05 * k:g}" for k in range(16)))
 
 
-def _pooled_sweep(monkeypatch, cfg, spec, bound):
-    """CSV, warnings and the budgets of every solve_batch call at a pool bound."""
+def _solved_sweep(monkeypatch, cfg, spec):
+    """CSV, warnings and the budgets of every solve_batch call of a sweep."""
     calls = []
 
     def counting(h, weights, sigma2, budgets, **kwargs):
@@ -295,10 +295,39 @@ def _pooled_sweep(monkeypatch, cfg, spec, bound):
         calls.append(np.array(budgets))
         return solve_batch(h, weights, sigma2, budgets, **kwargs)
 
-    monkeypatch.setattr(cli, "_POOL_BYTES", bound)
     monkeypatch.setattr(cli, "solve_batch", counting)
     rows, warnings = run_sweep(cfg, spec)
     return format_csv(rows), warnings, calls
+
+
+def _block_budgets(cfg, spec):
+    """The budgeted rows (budget > 0) of each of the sweep's blocks, in sweep order.
+
+    Each cell's budgets come from its own draw and its own SystemConfig,
+    not from the sweep's blocks.
+    """
+    frozen = cli._frozen_topology(cfg, spec.seed)
+    trials = np.arange(spec.trials)
+    budgets = []
+    for cell, (p_cir, c) in enumerate(spec.cells):
+        uplink, _ = cli._draw_chunk(cfg, spec.seed, np.full_like(trials, cell), trials, frozen)
+        sys_cfg = cfg.system(circuit_power=p_cir, eh_c=c)
+        budgets.append(
+            compute_budget(
+                max_harvest(sys_cfg.eh, sys_cfg.p_max, uplink),
+                sys_cfg.amp_efficiency,
+                sys_cfg.circuit_power,
+            )
+        )
+    out = []
+    for block in cli._blocks(len(spec.cells), spec.trials):
+        rows = np.concatenate([budgets[cell][start:stop] for cell, start, stop in block])
+        out.append(rows[rows > 0.0])
+    return out
+
+
+def _joined(calls):
+    return np.concatenate(calls).tobytes() if calls else b""
 
 
 @pytest.mark.parametrize(
@@ -307,78 +336,43 @@ def _pooled_sweep(monkeypatch, cfg, spec, bound):
         ((), 1, 1024),
         ((), 3, 1024),
         ((), 10, 1024),
-        ((), 10, 4),  # cells of three chunks, pooled across cells
+        ((), 10, 4),  # cells of three pieces, one block each
         (("ue.p_max=3",), 30, 1024),  # mixed infeasible cells
         (("topology.frozen=true", "channel.independent_dl=true"), 10, 1024),
         (_WIDE, 2, 1024),
         (("solver.max_iter=4",), 10, 1024),
+        (("ue.p_max=3",), 30, 4),  # some blocks hold no budgeted row
     ],
 )
 def test_pooled_solves_match_cells_solved_alone(monkeypatch, overrides, trials, chunk):
     cfg = load_config(overrides=overrides)
     spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, trials, 11)
     monkeypatch.setattr(cli, "_CHUNK_TRIALS", chunk)
-    bound = cli._POOL_BYTES
-    row_bytes = bytes_per_row(cfg.n_ues, cfg.n_antennas)
-    csv, warnings, calls = _pooled_sweep(monkeypatch, cfg, spec, bound)
-    # Bound 0: every chunk is solved alone; a huge bound: one call in all.
-    alone_csv, alone_warnings, chunks = _pooled_sweep(monkeypatch, cfg, spec, 0)
-    whole_csv, whole_warnings, whole = _pooled_sweep(monkeypatch, cfg, spec, 1 << 60)
-    assert alone_csv == csv == whole_csv
-    assert alone_warnings == warnings == whole_warnings
+    expected = _block_budgets(cfg, spec)
+    csv, warnings, calls = _solved_sweep(monkeypatch, cfg, spec)
+    # One call per block with a budgeted row, holding those rows in sweep order.
+    assert [c.tobytes() for c in calls] == [b.tobytes() for b in expected if b.size]
+    if chunk < trials and "ue.p_max=3" in overrides:
+        assert any(b.size == 0 for b in expected)
+    if trials * len(spec.cells) <= chunk:
+        assert len(calls) == 1  # the whole sweep is one block
+
+    # Blocks of one cell each, then of one trial each.
+    monkeypatch.setattr(cli, "_CHUNK_TRIALS", trials)
+    alone_csv, alone_warnings, alone = _solved_sweep(monkeypatch, cfg, spec)
+    monkeypatch.setattr(cli, "_CHUNK_TRIALS", 1)
+    single_csv, single_warnings, single = _solved_sweep(monkeypatch, cfg, spec)
+    assert alone_csv == csv == single_csv
+    assert alone_warnings == warnings == single_warnings
+    assert _joined(alone) == _joined(calls) == _joined(single)
+    assert all(c.size == 1 for c in single)
     if "solver.max_iter=4" in overrides:
-        assert warnings and len(calls) < len(chunks)
-    assert len(whole) == 1
-    assert np.concatenate(chunks).tobytes() == whole[0].tobytes()
-
-    # Each call holds whole chunks, in sweep order, and passes the bound
-    # only when it holds one chunk.
-    sizes = [c.size for c in chunks]
-    edges = np.cumsum([0] + sizes).tolist()
-    at = 0
-    for budgets in calls:
-        assert at + budgets.size in edges
-        held = edges.index(at + budgets.size) - edges.index(at)
-        assert budgets.size * row_bytes <= bound or held == 1
-        at += budgets.size
-    assert at == edges[-1]
-    if row_bytes * max(sizes) * 2 <= bound:
-        assert len(calls) < len(chunks)  # small cells do share calls
-    if overrides == _WIDE:
-        assert len(calls) < len(chunks)  # so do the 2-row cells at K=16, N=8
-
-
-def test_chunk_that_reaches_the_bound_is_solved_at_once():
-    # A piece of a large cell (the full stock sweep) is solved as soon as
-    # the pool takes it, so its cell's row can be built at once; a small
-    # piece waits for the pool to fill.
-    cfg = load_config()
-    pool = cli._SolvePool(cfg)
-    rows_at_bound = -(-cli._POOL_BYTES // bytes_per_row(cfg.n_ues, cfg.n_antennas))
-    trials = np.arange(rows_at_bound)
-    uplink, _ = cli._draw_chunk(cfg, 2, np.zeros_like(trials), trials, None)
-    sys_cfg = cfg.system(circuit_power=cfg.sweep_p_cir[0], eh_c=cfg.sweep_c[0])
-    budgets = compute_budget(
-        max_harvest(sys_cfg.eh, sys_cfg.p_max, uplink),
-        sys_cfg.amp_efficiency,
-        sys_cfg.circuit_power,
-    )
-    assert np.all(budgets > 0.0)
-    throughputs = np.zeros(rows_at_bound)
-    converged = np.zeros(rows_at_bound, dtype=bool)
-    pool.add(uplink, budgets, throughputs, converged, trials)
-    assert pool.empty
-    row, nonconverged = cli.run_cell(
-        sys_cfg.circuit_power, sys_cfg.eh.c, throughputs, budgets, converged
-    )
-    assert row.mean_throughput > 0.0 and nonconverged == 0
-    pool.add(uplink[:1], budgets[:1], throughputs, converged, trials[:1])
-    assert not pool.empty
+        assert warnings
 
 
 def test_stock_round_draws_once_and_solves_as_blocks_of_one_cell(monkeypatch):
-    # An 18 x 10 round draws in one block; blocks of one cell each (chunks
-    # of 10 trials) make the same solve calls, budget for budget.
+    # An 18 x 10 round draws and solves in one block; blocks of one cell
+    # each (chunks of 10 trials) solve the same budgets, cell by cell.
     cfg = load_config()
     spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, 10, 21)
 
@@ -391,21 +385,57 @@ def test_stock_round_draws_once_and_solves_as_blocks_of_one_cell(monkeypatch):
 
         monkeypatch.setattr(cli, "_CHUNK_TRIALS", chunk)
         monkeypatch.setattr(cli, "trial_states", counting)
-        return _pooled_sweep(monkeypatch, cfg, spec, cli._POOL_BYTES) + (draws,)
+        return _solved_sweep(monkeypatch, cfg, spec) + (draws,)
 
     csv, warnings, calls, draws = sweep(1024)
     alone_csv, alone_warnings, alone_calls, alone_draws = sweep(spec.trials)
     assert draws == [18] and alone_draws == [1] * 18
+    assert len(calls) == 1 and len(alone_calls) == 18
     assert csv == alone_csv and warnings == alone_warnings
-    assert len(calls) == 2
-    assert [c.tobytes() for c in calls] == [c.tobytes() for c in alone_calls]
+    assert _joined(calls) == _joined(alone_calls)
+
+
+@pytest.mark.parametrize(
+    "trials,chunk,order",
+    [
+        # A cell of three pieces is solved block by block, then built.
+        (10, 4, ["solve", "solve", "solve", "cell"] * 18),
+        # Two 3-trial cells share each block and are built after its solve.
+        (3, 7, ["solve", "cell", "cell"] * 9),
+    ],
+)
+def test_each_cell_is_built_right_after_its_last_block(monkeypatch, trials, chunk, order):
+    cfg = load_config()
+    spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, trials, 17)
+    events = []
+
+    built = []
+
+    def solving(*args, **kwargs):
+        events.append("solve")
+        return solve_batch(*args, **kwargs)
+
+    def building(p_cir, c, *results, _real=cli.run_cell):
+        events.append("cell")
+        built.append((p_cir, c))
+        return _real(p_cir, c, *results)
+
+    monkeypatch.setattr(cli, "_CHUNK_TRIALS", chunk)
+    monkeypatch.setattr(cli, "solve_batch", solving)
+    monkeypatch.setattr(cli, "run_cell", building)
+    rows, warnings = run_sweep(cfg, spec)
+    assert events == order
+    assert built == spec.cells
+    monkeypatch.undo()
+    want_rows, want_warnings = run_sweep(cfg, spec)
+    assert format_csv(rows) == format_csv(want_rows) and warnings == want_warnings
 
 
 def test_all_infeasible_sweep_makes_no_kernel_call(monkeypatch):
     # No uplink power: every budget is zero and no trial reaches the solver.
     cfg = load_config(overrides=("ue.p_max=0",))
     spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, 10, 3)
-    csv, warnings, calls = _pooled_sweep(monkeypatch, cfg, spec, cli._POOL_BYTES)
+    csv, warnings, calls = _solved_sweep(monkeypatch, cfg, spec)
     assert calls == [] and warnings == []
     for row in csv.splitlines()[1:]:
         assert row.endswith(",0,0,0,1")

@@ -52,6 +52,22 @@ def test_mrt_set_full_power_and_zero_row():
     assert np.all(beams[1] == 0)  # zero channel mapped to silent beam
 
 
+@pytest.mark.parametrize("k,n", [(1, 1), (4, 3), (2, 64)])
+@pytest.mark.parametrize("scale", [1e-8, 1e-2, 1e3])
+def test_mrt_set_rows_are_mrt_bit_for_bit(k, n, scale):
+    rng = np.random.default_rng(k * n)
+    h = scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+    if k > 1:
+        h[-1] = 0.0  # a zero channel gets a zero beam
+    caps = rng.uniform(0.0, 300.0, size=k)
+    beams = mrt_set(ChannelRealization(h), caps)
+    for row, (hk, cap) in enumerate(zip(h, caps)):
+        want = np.zeros(n, dtype=complex) if not hk.any() else mrt(hk, cap)
+        assert beams[row].tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="nonnegative"):
+        mrt_set(ChannelRealization(h), -caps)
+
+
 def test_input_power_mrt_closed_form():
     rng = trial_rng(5150)
     topo = draw_topology(rng, 5, 10.0, 20.0, 50.0, 2.5, 2.0)

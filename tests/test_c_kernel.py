@@ -195,6 +195,23 @@ def test_warm_cache_loads_without_the_compiler(monkeypatch):
 
 
 @needs_cc
+def test_cold_build_removes_stale_libraries(monkeypatch, tmp_path):
+    stale = tmp_path / "kernel-0000.so"
+    other = tmp_path / "other.so"
+    for path in (stale, other):
+        path.write_bytes(b"not a library")
+    monkeypatch.setattr(_c, "CACHE_DIR", tmp_path)
+    assert isinstance(_c.load(), _c.CKernel)
+    built = tmp_path / _c.library_name(_c.SOURCE.read_bytes())
+    assert sorted(tmp_path.iterdir()) == sorted([built, other])
+
+    # A warm load only opens the cached library.
+    stale.write_bytes(b"not a library")
+    assert isinstance(_c.load(), _c.CKernel)
+    assert sorted(tmp_path.iterdir()) == sorted([built, other, stale])
+
+
+@needs_cc
 def test_read_only_cache_builds_a_private_copy(monkeypatch, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

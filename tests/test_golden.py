@@ -10,10 +10,13 @@ allocation entries and the KKT residual moved in their last digit.  It
 was rewritten once more when the solve moved to the C kernel, whose
 factorisations round unlike LAPACK's: the same three allocation entries,
 the objective (and the weighted throughput it equals) and the KKT
-residual moved in their last digits.  A
-change that moves any byte here changes what users get from the same
-config and seed.  Never regenerate a file to make this test pass: find out
-why the bytes moved.
+residual moved in their last digits.  sim_stock_t10000.csv, the full
+stock sweep, was written by the sweep that pooled solves across pieces,
+just before each draw block came to be solved in one call; it pins the
+regime of 1024-trial blocks that no smaller case reaches.  A change that
+moves any byte here changes what users get from the same config and seed.
+Never regenerate a file to make this test pass: find out why the bytes
+moved.
 """
 
 from pathlib import Path
@@ -28,6 +31,7 @@ DATA = Path(__file__).resolve().parent / "data"
 # and tests/data/<name>.stderr (when present) holds its exact stderr.
 CASES = {
     "sim_stock_t200": ["simulate", "--trials", "200"],
+    "sim_stock_t10000": ["simulate", "--trials", "10000"],
     "sim_pmax3_t300": ["simulate", "--set", "ue.p_max=3", "--trials", "300"],
     "sim_frozen_indep_t50": [
         "simulate",

@@ -1,16 +1,14 @@
-"""The evaluation's forward substitution and its working-set estimate.
+"""The evaluation's forward substitution.
 
 The substitution is checked by its backward error, not against an LU
 solve: LU pivots, so the two answers may differ by up to cond(L) * eps
 while both are as accurate as the data allow.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from uavwpt._kernels import _ref, bytes_per_row
+from uavwpt._kernels import _ref
 
 SIGMA2 = 0.001
 EPS = np.finfo(float).eps
@@ -48,23 +46,3 @@ def test_forward_substitution_has_a_small_backward_error(k, n):
     norm_x = np.abs(x).max(axis=-2)
     assert np.all(np.isfinite(norm_x)) and np.all(norm_x > 0.0)
     assert np.all(lhs <= 2.0 * n * EPS * norm_l[..., None] * norm_x)
-
-
-@pytest.mark.parametrize("k", [1, 5, 16])
-@pytest.mark.parametrize("n", [1, 3, 8])
-def test_bytes_per_row_is_within_a_quarter_of_the_traced_peak(k, n):
-    # What one line-search evaluation allocates per row, its rows' invariants
-    # included, over a batch of about 1 MB, which hides the fixed cost of
-    # the Python objects.
-    rows = -(-(1 << 20) // bytes_per_row(k, n))
-    h, dw, p = _instances(k, n, rows, seed=k + n)
-    picked = np.arange(rows)
-    eye = np.eye(n)
-    tracemalloc.start()
-    try:
-        inv = _ref._invariants(h[picked], dw[picked])
-        _ref._value_grad(inv, picked, p, SIGMA2, eye)
-        peak = tracemalloc.get_traced_memory()[1] / rows
-    finally:
-        tracemalloc.stop()
-    assert 0.8 <= bytes_per_row(k, n) / peak <= 1.25
