@@ -1,17 +1,25 @@
-"""Solver kernels: the power-allocation solve in C, with numpy as reference and fallback.
+"""Compiled kernels: the power-allocation solve and the sweep's random draw, in C.
 
 Sweeps call ``solve_pga_batch``, which solves many instances in one call;
 ``solve_pga`` is its batch of one.  Both run ``kernel.c``, a C99 port of
 :mod:`uavwpt._kernels._ref` that solves one row at a time, operation for
-operation as ``_ref`` does it.  The first import compiles it with the
-interpreter's C compiler (sysconfig's ``CC``) into
-``__pycache__/kernel-<sha256>.so`` beside it, named by a digest of the
-source, the flags and the machine type; later imports load that file
-without calling the compiler.  Where the package directory is read-only,
-each process builds its own copy in a temporary directory.  ``BACKEND`` is
-then ``"c"``.  When no compiler exists or the build fails, both names are
-``_ref``'s functions and ``BACKEND`` is ``"python"``; nothing else selects
-the backend.
+operation as ``_ref`` does it.  ``draw_variates`` runs ``draw.c``: for each
+row of a draw block it derives the row's stream as
+``channel.trial_rng`` does (numpy's SeedSequence hash and PCG64 seeding)
+and draws its uniforms and, through numpy's own ``libnpyrandom.a``, its
+normals, bit for bit those of that Generator.
+
+The first import compiles each source with the interpreter's C compiler
+(sysconfig's ``CC``) into ``__pycache__/<stem>-<key>.so`` beside it, named
+by a checksum of the source, the flags, the machine type and any library
+it links; later imports load those files without calling the compiler.
+Where the package directory is read-only, each process builds its own
+copies in a temporary directory.  When the solver builds, ``BACKEND`` is
+``"c"``; when no compiler exists or its build fails, both solve names are
+``_ref``'s functions and ``BACKEND`` is ``"python"``.  When draw.c cannot
+be built or numpy's library is missing, ``draw_variates`` is None and the
+sweep draws each trial through ``channel.trial_rng``, which stays the
+definition of the streams.  Nothing else selects either path.
 
 The C kernel rounds some sums and products differently from ``_ref``'s
 LAPACK and BLAS calls, so its objectives agree with ``_ref`` to 1e-12
@@ -40,3 +48,4 @@ def _select():
 
 
 BACKEND, solve_pga_batch, solve_pga = _select()
+draw_variates = _c.load_draw()

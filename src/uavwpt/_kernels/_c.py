@@ -1,21 +1,31 @@
-"""The C solver kernel: kernel.c, compiled once and loaded through ctypes.
+"""The C libraries, compiled once and loaded through ctypes.
 
-:func:`load` returns a :class:`CKernel` bound to the compiled library, or
-None when it cannot be built or loaded.  The library is cached as
-``__pycache__/kernel-<digest>.so`` beside kernel.c, where the digest is the
-SHA-256 of the source, the compile flags and the machine type, so a warm
-import only loads it: no compiler and no sysconfig lookup.  A cold cache
+kernel.c solves power allocations and draw.c draws a block's random
+variates.  :func:`load` returns a :class:`CKernel` bound to the solver and
+:func:`load_draw` the draw entry, each None when its library cannot be
+built or loaded.  A library is cached as ``__pycache__/<stem>-<key>.so``
+beside its source, where the key is a 64-bit checksum (zlib's CRC-32 and
+Adler-32) of the source, the compile flags, the machine type and the bytes
+of every library it links: draw.c links numpy's
+``numpy/random/lib/libnpyrandom.a``, found beside ``numpy.__file__`` so
+that ``numpy.random`` is not imported.  A warm import only loads the
+files: no compiler, no sysconfig lookup and no hashlib.  A cold cache
 compiles with sysconfig's ``CC`` into a temporary name, moved into place
 with ``os.replace`` so that concurrent imports never load a partial file;
-the other ``kernel-*.so`` files there, built from older sources or flags,
+the other ``<stem>-*.so`` files there, built from older sources or flags,
 are then removed.  When that directory cannot be written, the build goes
 to a temporary directory that is removed once the library is loaded.
 Compiler output is captured, never printed.
+
+Arrays reach C as raw addresses (``arr.ctypes.data`` into ``c_void_p``
+arguments), after the wrappers have checked their shapes and made them
+C-contiguous in the dtype C reads.
 """
 
 import ctypes
-import hashlib
+import math
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +34,8 @@ from ..errors import ConsistencyError
 from . import _ref
 
 SOURCE = Path(__file__).with_name("kernel.c")
+DRAW_SOURCE = SOURCE.with_name("draw.c")
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 CACHE_DIR = SOURCE.parent / "__pycache__"
 # IEEE arithmetic as written: no contraction into fused multiply-adds, no
 # fast-math reassociation and no host-specific instructions.
@@ -31,12 +43,12 @@ FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
 COMPILE_TIMEOUT_S = 120.0
 
 
-def library_name(source):
-    """``kernel-<digest>.so`` for the bytes of kernel.c."""
-    digest = hashlib.sha256(source)
-    digest.update(" ".join(FLAGS).encode())
-    digest.update(os.uname().machine.encode())
-    return f"kernel-{digest.hexdigest()}.so"
+def library_name(source, stem="kernel", linked=()):
+    """``<stem>-<key>.so`` for the bytes of a source and of the libraries it links."""
+    crc, adler = 0, 1
+    for part in (source, " ".join(FLAGS).encode(), os.uname().machine.encode(), *linked):
+        crc, adler = zlib.crc32(part, crc), zlib.adler32(part, adler)
+    return f"{stem}-{crc:08x}{adler:08x}.so"
 
 
 def compiler_command():
@@ -47,12 +59,13 @@ def compiler_command():
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
-def compile_library(source_path, out_path):
-    """Compile kernel.c into a shared library; raises OSError or SubprocessError on failure."""
+def compile_library(source_path, out_path, link=()):
+    """Compile a source into a shared library; raises OSError or SubprocessError on failure."""
     import subprocess
 
     subprocess.run(
-        [*compiler_command(), *FLAGS, "-o", str(out_path), str(source_path), "-lm"],
+        [*compiler_command(), *FLAGS, "-o", str(out_path), str(source_path), *map(str, link),
+         "-lm"],
         stdin=subprocess.DEVNULL,
         capture_output=True,
         timeout=COMPILE_TIMEOUT_S,
@@ -60,77 +73,131 @@ def compile_library(source_path, out_path):
     )
 
 
-def _open(path):
-    """The library's solve_pga_batch with its argument types declared."""
-    lib = ctypes.CDLL(str(path))
-    fn = lib.solve_pga_batch
-
-    def array(dtype):
-        return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
-
-    i64, dbl = ctypes.c_int64, ctypes.c_double
-    fn.argtypes = [
-        i64, i64, i64,                       # B, K, N
-        array(np.complex128),                # h
-        array(np.float64),                   # dw
-        dbl,                                 # sigma2
-        array(np.float64),                   # budget
-        dbl, dbl, i64, dbl, dbl,             # tol, kkt_tol, max_iter, armijo, shrink
-        array(np.float64),                   # p out
-        array(np.float64),                   # objective out
-        array(np.int64),                     # iterations out
-        array(np.float64),                   # kkt residual out
-        array(np.bool_),                     # converged out
-    ]
-    fn.restype = ctypes.c_int
-    return fn
+def _library(source, link=()):
+    """The CDLL of ``source`` linked with ``link``, cached or freshly built; OSError if not."""
+    cached = CACHE_DIR / library_name(
+        source.read_bytes(), source.stem, [path.read_bytes() for path in link]
+    )
+    if cached.is_file():
+        return ctypes.CDLL(str(cached))
+    return _build(source, link, cached)
 
 
-def load():
-    """A :class:`CKernel` on the cached or freshly built library, or None if it cannot be had."""
-    try:
-        cached = CACHE_DIR / library_name(SOURCE.read_bytes())
-        if cached.is_file():
-            return CKernel(_open(cached))
-        return _build(cached)
-    except OSError:
-        return None
-
-
-def _build(cached):
-    """Compile kernel.c into ``cached`` and open it; OSError if that fails.
+def _build(source, link, cached):
+    """Compile ``source`` into ``cached`` and open it; OSError if that fails.
 
     The compiler writes a temporary file beside ``cached`` that is then
-    moved into place, and the other libraries there are removed: a process
-    that loaded one keeps it mapped.  Where that directory cannot be
-    written, the library is built for this process alone in a temporary
-    directory; once loaded, it stays mapped after its file is removed.
+    moved into place, and the other libraries of the same stem there are
+    removed: a process that loaded one keeps it mapped.  Where that
+    directory cannot be written, the library is built for this process
+    alone in a temporary directory; once loaded, it stays mapped after its
+    file is removed.
     """
     import subprocess
     import tempfile
 
+    stem = source.stem
     try:
         try:
             cached.parent.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix="kernel-", suffix=".tmp", dir=cached.parent)
+            fd, tmp = tempfile.mkstemp(prefix=f"{stem}-", suffix=".tmp", dir=cached.parent)
         except OSError:
-            with tempfile.TemporaryDirectory(prefix="uavwpt-kernel-") as scratch:
+            with tempfile.TemporaryDirectory(prefix=f"uavwpt-{stem}-") as scratch:
                 private = Path(scratch) / cached.name
-                compile_library(SOURCE, private)
-                return CKernel(_open(private))
+                compile_library(source, private, link)
+                return ctypes.CDLL(str(private))
         os.close(fd)
         try:
-            compile_library(SOURCE, tmp)
+            compile_library(source, tmp, link)
             os.replace(tmp, cached)
         finally:
             Path(tmp).unlink(missing_ok=True)
-        kernel = CKernel(_open(cached))
-        for stale in cached.parent.glob("kernel-*.so"):
+        lib = ctypes.CDLL(str(cached))
+        for stale in cached.parent.glob(f"{stem}-*.so"):
             if stale != cached:
                 stale.unlink(missing_ok=True)
-        return kernel
+        return lib
     except subprocess.SubprocessError as exc:
-        raise OSError(f"cannot compile {SOURCE.name}") from exc
+        raise OSError(f"cannot compile {source.name}") from exc
+
+
+_I64, _DBL, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+
+
+def load():
+    """A :class:`CKernel` on the cached or freshly built kernel.c, or None if it cannot be had."""
+    try:
+        fn = _library(SOURCE).solve_pga_batch
+    except OSError:
+        return None
+    fn.argtypes = [
+        _I64, _I64, _I64,                    # B, K, N
+        _PTR,                                # h, complex128 (B, K, N)
+        _PTR,                                # dw, float64 (B, K)
+        _DBL,                                # sigma2
+        _PTR,                                # budget, float64 (B,)
+        _DBL, _DBL, _I64, _DBL, _DBL,        # tol, kkt_tol, max_iter, armijo, shrink
+        _PTR,                                # p out, float64 (B, K)
+        _PTR,                                # objective out, float64 (B,)
+        _PTR,                                # iterations out, int64 (B,)
+        _PTR,                                # kkt residual out, float64 (B,)
+        _PTR,                                # converged out, bool (B,)
+    ]
+    fn.restype = ctypes.c_int
+    return CKernel(fn)
+
+
+def load_draw():
+    """draw.c's :func:`draw_variates` on its cached or fresh build, or None if it cannot be had."""
+    try:
+        fn = _library(DRAW_SOURCE, (NPYRANDOM,)).draw_variates
+    except OSError:
+        return None
+    fn.argtypes = [
+        _I64,                                # rows
+        _PTR, _I64,                          # seed words, uint32, and their count
+        _PTR, _PTR,                          # cells and trials, uint64 (rows,)
+        _I64, _I64,                          # uniforms and normals per row
+        _PTR, _PTR,                          # uniform and normal out, float64
+    ]
+    fn.restype = None
+
+    def draw_variates(seed, cells, trials, uniform, normal):
+        """Row b of each output from the stream ``channel.trial_rng(seed, cells[b], trials[b])``.
+
+        Fills ``uniform[b]`` with that stream's ``random()`` variates and
+        then ``normal[b]`` with its ``standard_normal()`` ones, in C order;
+        the outputs are float64 and C-contiguous with one leading row per
+        pair.  Each row is bitwise what that Generator draws.
+        """
+        cells = np.ascontiguousarray(cells, dtype=np.uint64)
+        trials = np.ascontiguousarray(trials, dtype=np.uint64)
+        rows = cells.size
+        if cells.shape != (rows,) or trials.shape != (rows,) or any(
+            out.dtype != np.float64 or not out.flags.c_contiguous or not out.flags.writeable
+            or out.shape[:1] != (rows,)
+            for out in (uniform, normal)
+        ):
+            raise ValueError(
+                f"expected cells and trials (B,) and C-contiguous float64 outputs (B, ...), got "
+                f"{cells.shape}, {trials.shape}, {uniform.shape} {uniform.dtype} and "
+                f"{normal.shape} {normal.dtype}"
+            )
+        words = _seed_words(seed)
+        fn(rows, words.ctypes.data, words.size, cells.ctypes.data, trials.ctypes.data,
+           math.prod(uniform.shape[1:]), math.prod(normal.shape[1:]),
+           uniform.ctypes.data, normal.ctypes.data)
+
+    return draw_variates
+
+
+def _seed_words(seed):
+    """SeedSequence's entropy words of ``seed``: its uint32 words, low first, padded to four."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    count = max(4, -(-seed.bit_length() // 32))
+    return np.array([seed >> 32 * i & 0xFFFFFFFF for i in range(count)], dtype=np.uint32)
 
 
 class CKernel:
@@ -158,9 +225,10 @@ class CKernel:
         kkt = np.empty(n_rows)
         converged = np.empty(n_rows, dtype=bool)
         status = self._fn(
-            n_rows, k_ues, n_antennas, h, dw, float(sigma2), budget,
-            float(tol), float(kkt_tol), int(max_iter), float(armijo), float(shrink),
-            p, objective, iterations, kkt, converged,
+            n_rows, k_ues, n_antennas, h.ctypes.data, dw.ctypes.data, float(sigma2),
+            budget.ctypes.data, float(tol), float(kkt_tol), int(max_iter), float(armijo),
+            float(shrink), p.ctypes.data, objective.ctypes.data, iterations.ctypes.data,
+            kkt.ctypes.data, converged.ctypes.data,
         )
         if status == 1:
             raise ConsistencyError("accumulated interference matrix is not positive definite")

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import draw_variates
 from .channel import (
     draw_channel,
     draw_topology,
     rician_channels,
     topology_rng,
     trial_rng,
-    trial_states,
 )
 from .config import ConfigError, defaults_text, load_config
 from .eh_model import EhParams, max_harvest
@@ -75,24 +75,25 @@ class SweepRow:
 class SweepRows(Sequence):
     """A sweep's rows in grid order: one SweepRow per (p_cir, c) cell, built on access.
 
-    The four statistics of every cell live in one (cells, 4) float array
-    beside the spec, so a sweep that is kept holds one small array instead
-    of a row object and four float objects per cell.  Indexing builds the
-    rows it returns; a slice is a list.
+    The four statistics of every cell are kept beside the spec as the bytes
+    of one (cells, 4) float64 array, so a sweep that is kept holds one
+    bytes object: no row object and four floats per cell, and no ndarray.
+    Indexing builds the rows it returns; a slice is a list.
     """
 
     __slots__ = ("_spec", "_stats")
 
     def __init__(self, spec, stats):
         self._spec = spec
-        self._stats = stats
+        self._stats = stats.tobytes()
 
     def __len__(self):
-        return len(self._stats)
+        return len(self._stats) // 32  # four float64 per cell
 
     def __iter__(self):
-        for cell, stats in zip(self._spec.cells, self._stats.tolist()):
-            yield SweepRow(*cell, *stats)
+        stats = np.frombuffer(self._stats).reshape(-1, 4).tolist()
+        for cell, values in zip(self._spec.cells, stats):
+            yield SweepRow(*cell, *values)
 
     def __getitem__(self, index):
         return list(self)[index]
@@ -173,34 +174,34 @@ def _draw_chunk(cfg, seed, cells, trials, frozen_topology):
 
     Returns two (len(trials), K, N) arrays; the downlink is the uplink array
     itself unless cfg.independent_dl.  Each trial's stream draws the
-    variates _draw_trial draws, in the same order, but writes them into
-    chunk arrays: its uniforms in one call and all its normals in another,
-    which numpy's Generator makes the same bits as one call per K x N block
-    (it keeps no spare normal between calls).  The uniforms are drawn on
-    [0, 1) and scaled to [r_min, r_max) for the whole chunk at once, by
-    the low + (high - low) * u that Generator.uniform evaluates per
-    variate.  The channels are then built in one rician_channels call, so
-    every row is bitwise _draw_trial's channel.  The streams are
-    trial_rng's, loaded by state into one generator (see trial_states).
+    variates _draw_trial draws, in the same order, but into block arrays:
+    its uniforms in one call and all its normals in another, which numpy's
+    Generator makes the same bits as one call per K x N block (it keeps no
+    spare normal between calls).  The whole block is one draw_variates call
+    into C, or, without the C draw, one trial_rng stream per trial.  The
+    uniforms are drawn on [0, 1) and scaled to [r_min, r_max) for the whole
+    block at once, by the low + (high - low) * u that Generator.uniform
+    evaluates per variate.  The channels are then built in one
+    rician_channels call, so every row is bitwise _draw_trial's channel.
     """
     n_trials = len(trials)
     # Per trial: real and imaginary uplink draws, then the downlink pair if any.
     normals = np.empty((n_trials, 4 if cfg.independent_dl else 2, cfg.n_ues, cfg.n_antennas))
-    if frozen_topology is None:
-        horizontal = np.empty((n_trials, cfg.n_ues))
+    uniforms = np.empty((n_trials, 0 if frozen_topology is not None else cfg.n_ues))
+    if draw_variates is not None:
+        draw_variates(seed, cells, trials, uniforms, normals)
     else:
-        horizontal = frozen_topology.ue_horizontal_distances
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for i, state in enumerate(trial_states(seed, cells, trials)):
-        bit_generator.state = state
-        if frozen_topology is None:
-            rng.random(out=horizontal[i])
-        rng.standard_normal(out=normals[i])
+        for i, (cell, trial) in enumerate(zip(cells.tolist(), trials.tolist())):
+            rng = trial_rng(seed, cell, trial)
+            rng.random(out=uniforms[i])
+            rng.standard_normal(out=normals[i])
     if frozen_topology is None:
         # What Generator.uniform(r_min, r_max) computes from each random().
+        horizontal = uniforms
         horizontal *= cfg.r_max - cfg.r_min
         horizontal += cfg.r_min
+    else:
+        horizontal = frozen_topology.ue_horizontal_distances
     channels = [
         rician_channels(
             cfg.height, horizontal, cfg.alpha, cfg.kappa, normals[:, part], normals[:, part + 1]

@@ -6,6 +6,8 @@ chunk.  The same holds for the sweep's chunked channel draw.  Everything
 here is compared bit for bit.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from uavwpt import cli
 from uavwpt._kernels import _ref
-from uavwpt.channel import trial_rng, trial_states
+from uavwpt.channel import trial_rng
 from uavwpt.cli import SweepSpec, format_csv, run_sweep
 from uavwpt.config import load_config
 from uavwpt.eh_model import max_harvest
@@ -376,15 +378,19 @@ def test_stock_round_draws_once_and_solves_as_blocks_of_one_cell(monkeypatch):
     cfg = load_config()
     spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, 10, 21)
 
+    real_draw = cli.draw_variates
+    if real_draw is None:
+        pytest.skip("draw.c is not built: the sweep draws trial by trial")
+
     def sweep(chunk):
         draws = []
 
-        def counting(seed, cells, trials):
+        def counting(seed, cells, trials, uniform, normal):
             draws.append(np.unique(cells).size)
-            return trial_states(seed, cells, trials)
+            return real_draw(seed, cells, trials, uniform, normal)
 
         monkeypatch.setattr(cli, "_CHUNK_TRIALS", chunk)
-        monkeypatch.setattr(cli, "trial_states", counting)
+        monkeypatch.setattr(cli, "draw_variates", counting)
         return _solved_sweep(monkeypatch, cfg, spec) + (draws,)
 
     csv, warnings, calls, draws = sweep(1024)
@@ -448,10 +454,13 @@ def test_all_infeasible_sweep_makes_no_kernel_call(monkeypatch):
     kappa=st.sampled_from([0.0, 2.0]),
     frozen=st.booleans(),
     independent_dl=st.booleans(),
-    seed=st.integers(0, 2**63),
+    # Seeds and keys of one, two and more uint32 words.
+    seed=st.one_of(
+        st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**200)
+    ),
     pairs=st.lists(
         st.tuples(
-            st.integers(0, 17),
+            st.one_of(st.integers(0, 17), st.integers(2**32 - 2, 2**64 - 1)),
             st.one_of(st.integers(0, 50), st.integers(2**32 - 20, 2**32 + 20)),
         ),
         min_size=1,
@@ -472,17 +481,19 @@ def test_chunked_draw_equals_per_trial_draws(
         )
     )
     frozen_topology = cli._frozen_topology(cfg, seed)
-    cells, trials = (np.array(column) for column in zip(*pairs))
-    uplink, downlink = cli._draw_chunk(cfg, seed, cells, trials, frozen_topology)
-
+    cells, trials = (np.array(column, dtype=np.uint64) for column in zip(*pairs))
     drawn = [
         cli._draw_trial(cfg, trial_rng(seed, cell=cell, trial=t), frozen_topology)
         for cell, t in pairs
     ]
     want_up = np.stack([up.h for _, up, _ in drawn])
     want_down = np.stack([(up if down is None else down).h for _, up, down in drawn])
-    for got, want in ((uplink, want_up), (downlink, want_down)):
-        assert got.shape == want.shape == (len(pairs), k, n)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-    assert (downlink is uplink) == (not independent_dl)
+    # The C draw, then the trial-by-trial draw used without it.
+    for draw in (cli.draw_variates, None):
+        with mock.patch.object(cli, "draw_variates", draw):
+            uplink, downlink = cli._draw_chunk(cfg, seed, cells, trials, frozen_topology)
+        for got, want in ((uplink, want_up), (downlink, want_down)):
+            assert got.shape == want.shape == (len(pairs), k, n)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert (downlink is uplink) == (not independent_dl)

@@ -230,7 +230,7 @@ def test_read_only_cache_builds_a_private_copy(monkeypatch, tmp_path):
     ids=["compile error", "no compiler", "timeout"],
 )
 def test_failed_build_falls_back_to_ref(monkeypatch, tmp_path, failure):
-    def failing(source_path, out_path):
+    def failing(source_path, out_path, link=()):
         raise failure
 
     monkeypatch.setattr(_c, "CACHE_DIR", tmp_path)

@@ -1,12 +1,15 @@
 """Geometry, Rician statistics, and the seeded stream-splitting rule."""
 
 import math
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uavwpt import _kernels
+from uavwpt._kernels import _c
 from uavwpt.channel import (
     ChannelRealization,
     Topology,
@@ -17,7 +20,6 @@ from uavwpt.channel import (
     rician_channels,
     topology_rng,
     trial_rng,
-    trial_states,
 )
 
 LINK_50_15 = 52.20153254455275  # sqrt(50^2 + 15^2) via stdlib math
@@ -179,45 +181,70 @@ def test_scatter_power_split():
     assert var == pytest.approx(gain / (kappa + 1.0), rel=0.05)
 
 
+# A trial's state is the PCG64 state its stream starts from, which a sweep
+# derives from (seed, cell, trial) in C (uavwpt._kernels.draw_variates)
+# before drawing from it; it must be the state trial_rng seeds.  Those
+# tests skip only when the interpreter has no C compiler; with one, a
+# failed build of draw.c fails them.
+needs_cc = pytest.mark.skipif(
+    shutil.which(_c.compiler_command()[0]) is None, reason="no C compiler to build draw.c"
+)
+
 # SeedSequence splits ints into uint32 words and zero-pads the seed to four
-# words, so the cases differ in word counts: seed 0, one word, two or more,
+# words, so the cases differ in word counts: seed 0, one word, two, three,
 # and more words than the pool holds; keys of one and two words.
 _SEEDS = st.one_of(
     st.just(0),
     st.integers(1, 2**32 - 1),
-    st.integers(2**32, 2**128 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**96 - 1),
     st.integers(2**128, 2**200),
 )
 _KEYS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
-
-
-def _assert_stream_is(state, want_rng):
-    assert state == want_rng.bit_generator.state
-    bit_generator = np.random.PCG64(0)
-    bit_generator.state = state
-    got = np.random.Generator(bit_generator)
-    for draw in ("uniform", "standard_normal", "random"):
-        assert getattr(got, draw)(size=7).tobytes() == getattr(want_rng, draw)(size=7).tobytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=_SEEDS, cell=_KEYS, trials=st.lists(_KEYS, max_size=6))
-def test_trial_states_are_the_trial_rng_streams(seed, cell, trials):
-    states = trial_states(seed, cell, trials)
-    assert len(states) == len(trials)
-    for t, state in zip(trials, states):
-        _assert_stream_is(state, trial_rng(seed, cell=cell, trial=t))
-
-
-@pytest.mark.parametrize("seed", [0, 7, 2**32 + 1, 2**130 + 3])
-def test_trial_states_of_the_reserved_topology_key(seed):
-    (state,) = trial_states(seed, 0xFFFFFFFF, [0xFFFFFFFF])
-    _assert_stream_is(state, topology_rng(seed))
-
-
 _RESERVED = (0xFFFFFFFF, 0xFFFFFFFF)
 
 
+def _c_draw(seed, pairs, n_uniform, n_normal):
+    """(uniform, normal) rows of the C draw for the (cell, trial) ``pairs``."""
+    draw = _kernels.draw_variates
+    assert draw is not None, "a C compiler exists but draw.c did not build"
+    cells = np.array([cell for cell, _ in pairs], dtype=np.uint64)
+    trials = np.array([trial for _, trial in pairs], dtype=np.uint64)
+    uniform = np.empty((len(pairs), n_uniform))
+    normal = np.empty((len(pairs), n_normal))
+    draw(seed, cells, trials, uniform, normal)
+    return uniform, normal
+
+
+def _assert_rows_are(uniform, normal, rngs):
+    for u, z, rng in zip(uniform, normal, rngs, strict=True):
+        assert u.tobytes() == rng.random(u.size).tobytes()
+        assert z.tobytes() == rng.standard_normal(z.size).tobytes()
+
+
+@needs_cc
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_SEEDS,
+    cell=_KEYS,
+    trials=st.lists(_KEYS, max_size=6),
+    n_uniform=st.sampled_from([0, 1, 5, 16]),
+    # Two or four K x N blocks at K in {1, 5, 16} and N in {1, 3, 8}.
+    n_normal=st.sampled_from([2, 4, 6, 30, 60, 256, 512]),
+)
+def test_trial_states_are_the_trial_rng_streams(seed, cell, trials, n_uniform, n_normal):
+    uniform, normal = _c_draw(seed, [(cell, t) for t in trials], n_uniform, n_normal)
+    _assert_rows_are(uniform, normal, [trial_rng(seed, cell=cell, trial=t) for t in trials])
+
+
+@needs_cc
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 1, 2**130 + 3])
+def test_trial_states_of_the_reserved_topology_key(seed):
+    uniform, normal = _c_draw(seed, [_RESERVED], 16, 48)
+    _assert_rows_are(uniform, normal, [topology_rng(seed)])
+
+
+@needs_cc
 @settings(max_examples=60, deadline=None)
 @given(
     seed=_SEEDS,
@@ -233,17 +260,22 @@ _RESERVED = (0xFFFFFFFF, 0xFFFFFFFF)
 @example(seed=7, pairs=[(0, 3), _RESERVED, (2**40, 2**33), (0, 4), (2**32 - 1, 0)])
 def test_trial_states_over_per_row_cells(seed, pairs):
     # Cells of one and two words step the hash constant differently.
-    states = trial_states(seed, [c for c, _ in pairs], [t for _, t in pairs])
-    assert len(states) == len(pairs)
-    for (cell, t), state in zip(pairs, states):
-        want = topology_rng(seed) if (cell, t) == _RESERVED else trial_rng(seed, cell, t)
-        _assert_stream_is(state, want)
+    uniform, normal = _c_draw(seed, pairs, 5, 30)
+    _assert_rows_are(
+        uniform,
+        normal,
+        [topology_rng(seed) if pair == _RESERVED else trial_rng(seed, *pair) for pair in pairs],
+    )
 
 
-def test_trial_states_broadcast_a_cell_list_against_one_trial():
-    states = trial_states(3, [0, 2**33, 5], 9)
-    for cell, state in zip([0, 2**33, 5], states):
-        _assert_stream_is(state, trial_rng(3, cell, 9))
+@needs_cc
+def test_trial_states_reach_the_ziggurat_tails():
+    # About 1 normal in 250 leaves the ziggurat's fast path and 1 in 3700
+    # lands beyond its last layer, where it redraws through next_double.
+    seed, cell, trial = 2**200 + 12345, 2**32 + 1, 2**33 + 5
+    uniform, normal = _c_draw(seed, [(cell, trial)], 3, 200_000)
+    assert np.abs(normal).max() > 3.6541528853610088  # the ziggurat's r
+    _assert_rows_are(uniform, normal, [trial_rng(seed, cell, trial)])
 
 
 @pytest.mark.parametrize("kappa", [0.0, 2.0, 1e-3, 1e3])
