@@ -2,9 +2,9 @@
 
 Sweeps call ``solve_pga_batch``, which solves many instances in one call;
 ``solve_pga`` is its batch of one.  Both run ``kernel.c``, a C99 port of
-:mod:`uavwpt._kernels._ref` that solves one row at a time, operation for
-operation as ``_ref`` does it.  ``draw_variates`` runs ``draw.c``: for each
-row of a draw block it derives the row's stream as
+:mod:`uavwpt._kernels._ref`, which solves one row at a time, operation for
+operation as ``_ref.solve_pga`` does it.  ``draw_variates`` runs
+``draw.c``: for each row of a draw block it derives the row's stream as
 ``channel.trial_rng`` does (numpy's SeedSequence hash and PCG64 seeding)
 and draws its uniforms and, through numpy's own ``libnpyrandom.a``, its
 normals, bit for bit those of that Generator.
@@ -16,27 +16,21 @@ it links; later imports load those files without calling the compiler.
 Where the package directory is read-only, each process builds its own
 copies in a temporary directory.  When the solver builds, ``BACKEND`` is
 ``"c"``; when no compiler exists or its build fails, both solve names are
-``_ref``'s functions and ``BACKEND`` is ``"python"``.  When draw.c cannot
-be built or numpy's library is missing, ``draw_variates`` is None and the
-sweep draws each trial through ``channel.trial_rng``, which stays the
-definition of the streams.  Nothing else selects either path.
+``_ref``'s functions and ``BACKEND`` is ``"python"``.  ``_ref`` solves
+one row at a time in numpy, so a sweep there takes over 100 times as long
+per trial as on ``"c"`` (the README gives the figures).  When draw.c
+cannot be built or numpy's library is missing, ``draw_variates`` is None
+and the sweep draws each trial through ``channel.trial_rng``, which stays
+the definition of the streams.  Nothing else selects either path.
 
 The C kernel rounds some sums and products differently from ``_ref``'s
 LAPACK and BLAS calls, so its objectives agree with ``_ref`` to 1e-12
 relative, not bit for bit; the CLI's printed outputs (the sweep CSV at
 12 significant digits) stay the same.  ``_ref`` remains the reference the
-tests compare with and the evaluator behind :mod:`uavwpt.rate`; its
-objective, gradient, projection and KKT residual are exported here as
-they are.
+tests compare with and the evaluator behind :mod:`uavwpt.rate`.
 """
 
 from . import _c, _ref
-from ._ref import (
-    dual_objective,
-    dual_objective_grad,
-    kkt_residual,
-    project_simplex,
-)
 
 
 def _select():

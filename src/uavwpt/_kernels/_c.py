@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConsistencyError
-from . import _ref
 
 SOURCE = Path(__file__).with_name("kernel.c")
 DRAW_SOURCE = SOURCE.with_name("draw.c")
@@ -237,6 +236,13 @@ class CKernel:
         return p, objective, iterations, kkt, converged
 
     def solve_pga(self, h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
-        """:meth:`solve_pga_batch` of one row, as :func:`uavwpt._kernels._ref.solve_pga`."""
-        return _ref.solve_one(self.solve_pga_batch, h, dw, sigma2, budget, tol, kkt_tol,
-                              max_iter, armijo, shrink)
+        """:meth:`solve_pga_batch` of one row, as :func:`uavwpt._kernels._ref.solve_pga`.
+
+        Returns (p, objective, iterations, kkt_residual, converged), the
+        last four as Python scalars.
+        """
+        p, f, iterations, kkt, converged = self.solve_pga_batch(
+            np.asarray(h, dtype=complex)[None], np.asarray(dw, dtype=float)[None], sigma2,
+            np.array([budget], dtype=float), tol, kkt_tol, max_iter, armijo, shrink,
+        )
+        return p[0], float(f[0]), int(iterations[0]), float(kkt[0]), bool(converged[0])

@@ -1,7 +1,7 @@
 /*
  * Projected Newton ascent for the weighted sum-rate dual, row by row.
  *
- * A C99 port of uavwpt/_kernels/_ref.py's solve_pga_batch, operation for
+ * A C99 port of uavwpt/_kernels/_ref.py's solve_pga, operation for
  * operation; _ref.py documents the algorithm and is the reference the
  * tests compare this file with.  Each row b maximises
  *
@@ -73,7 +73,7 @@ static int work_init(Work *w, int64_t K, int64_t N)
     return 1;
 }
 
-/* The outer products h_k h_k^H of one row (_ref._invariants), lower triangle. */
+/* The outer products h_k h_k^H of one row (as _ref.factors forms them), lower triangle. */
 static void invariants(Work *w, const double *h)
 {
     int64_t K = w->K, N = w->N;
@@ -125,7 +125,7 @@ static int cholesky(Work *w)
 
 /*
  * Objective, gradient and Hessian at p from one factorisation per user
- * (_ref._value_grad): value = sum_k dw[k] logdet(A_k),
+ * (_ref.evaluate): value = sum_k dw[k] logdet(A_k),
  * grad[m] = sum_{k >= m} dw[k] ||L_k^{-1} h_m||^2 / sigma2 and
  * hess[m, n] = -sum_{k >= max(m, n)} dw[k] |<L_k^{-1} h_m, L_k^{-1} h_n>|^2 / sigma2^2.
  * Returns 0 if some A_k is not positive definite.

@@ -143,9 +143,8 @@ def _vector(raw: str, n_ues: int, what: str) -> np.ndarray:
     if len(values) == 1:
         return np.full(n_ues, values[0])
     if len(values) != n_ues:
-        raise ConfigError(
-            f"ue.{what} needs 1 or {n_ues} comma-separated values, got {len(values)}"
-        )
+        needs = "1 value" if n_ues == 1 else f"1 or {n_ues} comma-separated values"
+        raise ConfigError(f"ue.{what} needs {needs}, got {len(values)}")
     return np.asarray(values)
 
 

@@ -18,9 +18,10 @@ permutation sorts the weights in descending order every decrement is
 nonnegative, making the second form a concave function of p; that is the
 objective the power-allocation solver maximizes.
 
-Rates are in nats.  Determinants and the gradient are evaluated by the
-numpy reference kernels (uavwpt._kernels._ref), through Cholesky factors
-of the explicitly accumulated A_k.
+Rates are in nats.  The log-determinants come from the Cholesky factors
+of the explicitly accumulated A_k (``factors`` and ``logdets`` of
+uavwpt._kernels._ref), and the gradient from ``_ref.dual_objective_grad``,
+the evaluation the numpy solver ascends with.
 """
 
 from dataclasses import dataclass
@@ -76,10 +77,7 @@ def _logdet_sequence(p, channels, perm, sigma2) -> np.ndarray:
     """logdet(A_k) for k = 1..K along the given encoding order."""
     if perm.size == 0:
         return np.zeros(0)
-    h = channels.h[perm]
-    outer = (h[:, :, None] * h.conj()[:, None, :])[None]
-    chol = _ref._factors(outer, p[perm][None], sigma2, np.eye(channels.n_antennas))
-    return _ref._logdets(chol)[0]
+    return _ref.logdets(_ref.factors(channels.h[perm], p[perm], sigma2))
 
 
 def dpc_weighted_rate(p, channels, weights, perm, sigma2: float) -> WeightedRate:
@@ -121,7 +119,7 @@ def objective_gradient(p, channels, weights, perm, sigma2: float) -> np.ndarray:
         (1/sigma2) * sum_{k>=m} dw_k * h_perm[m]^H A_k^{-1} h_perm[m],
 
     strictly positive whenever the smallest weight is positive.  This is the
-    gradient the solver ascends, :func:`uavwpt._kernels.dual_objective_grad`.
+    gradient the solver ascends, :func:`uavwpt._kernels._ref.dual_objective_grad`.
     """
     p, w, perm = _check_inputs(p, channels, weights, perm, sigma2)
     if perm.size == 0:

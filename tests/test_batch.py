@@ -1,9 +1,10 @@
-"""The lockstep batch solver: every row is solved as if it were alone.
+"""Batches and blocks: every row is solved and drawn as if it were alone.
 
-``solve_pga_batch`` runs projected Newton ascent on all rows at once, so
-a row's result must not depend on which other rows share its batch or
-chunk.  The same holds for the sweep's chunked channel draw.  Everything
-here is compared bit for bit.
+``solve_pga_batch`` solves each row with its own ``solve_pga`` call, and
+the sweep pools the budgeted rows of its draw blocks into one such call,
+so a row's result must not depend on which other rows share its batch,
+chunk or block.  The same holds for the sweep's chunked channel draw.
+Everything here is compared bit for bit.
 """
 
 from unittest import mock
@@ -91,17 +92,15 @@ def _first_step(h, dw, cap):
     """How the first line search of a lone solve starts: the Newton direction
     gives no ascent (the row takes the gradient arc), or its trial point at
     t = 1 is accepted or not (the row backtracks)."""
-    p = np.full((1, dw.size), cap / dw.size)
-    cap = np.array([cap])
-    inv = _ref._invariants(h[None], dw[None])
-    f, g, hess = _ref._value_grad(inv, slice(None), p, SIGMA2, np.eye(h.shape[-1]))
+    p = np.full(dw.size, cap / dw.size)
+    f, g, hess = _ref.evaluate(h, dw, p, SIGMA2)
     step, newton = _ref._newton_step(p, g, hess, cap, 1e-9 * cap)
-    if not newton[0]:
+    if not newton:
         return "no ascent"
     trial = _ref.project_simplex(p + step, cap)
-    ascent = np.vecdot(g, trial - p)[0]
-    value = _ref.dual_objective(h, dw, trial[0], SIGMA2)
-    return "accept" if ascent > 0.0 and value >= f[0] + LINE_SEARCH[0] * ascent else "backtrack"
+    ascent = g @ (trial - p)
+    value = _ref.dual_objective(h, dw, trial, SIGMA2)
+    return "accept" if ascent > 0.0 and value >= f + LINE_SEARCH[0] * ascent else "backtrack"
 
 
 def _line_search_batch():
@@ -167,15 +166,15 @@ def test_each_trial_point_is_factorised_once(monkeypatch):
     assert longer[2] == max_iter + 1
     counts = {"factorised": 0, "projected": 0}
 
-    def cholesky(acc, _real=_ref._cholesky):
-        counts["factorised"] += acc.shape[0]
-        return _real(acc)
+    def factors(h, p, sigma2, _real=_ref.factors):
+        counts["factorised"] += 1
+        return _real(h, p, sigma2)
 
     def project_simplex(v, budget, _real=_ref.project_simplex):
-        counts["projected"] += v.shape[0]
+        counts["projected"] += 1
         return _real(v, budget)
 
-    monkeypatch.setattr(_ref, "_cholesky", cholesky)
+    monkeypatch.setattr(_ref, "factors", factors)
     monkeypatch.setattr(_ref, "project_simplex", project_simplex)
     out = _ref.solve_pga(h, dw, SIGMA2, cap, ARGS[0], 0.0, max_iter, *LINE_SEARCH)
     assert out[2] == max_iter and not out[4]
@@ -197,16 +196,6 @@ def test_max_iter_one_stops_unconverged():
     h, dw, budget = _batch(5, 3, seed=2)
     _, _, it, _, conv = _solve(h, dw, budget, 1)
     assert np.all(it[budget > 0] == 1) and not np.any(conv[budget > 0])
-
-
-def test_unbatched_kernels_match_their_batch_row():
-    h, dw, budget = _batch(5, 3, seed=4)
-    p = np.abs(h[:, :, 0]) * 10.0
-    f, g = _ref.dual_objective_grad(h, dw, p, SIGMA2)
-    for b in range(len(budget)):
-        fb, gb = _ref.dual_objective_grad(h[b], dw[b], p[b], SIGMA2)
-        assert fb == f[b] and gb.tobytes() == g[b].tobytes()
-        assert _ref.dual_objective(h[b], dw[b], p[b], SIGMA2) == f[b]
 
 
 def test_solve_batch_matches_solve_power_allocation():

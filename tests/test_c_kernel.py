@@ -1,6 +1,6 @@
 """The C solver kernel: it solves as _ref does, and the loader falls back to _ref.
 
-kernel.c ports ``_ref.solve_pga_batch`` operation for operation, but its
+kernel.c ports ``_ref.solve_pga`` operation for operation, but its
 Cholesky factors, Gram products, face solve and dot products round as
 written in C, not as LAPACK and BLAS do, so the two agree to rounding.
 Objectives must agree to 1e-12 relative, or to the rounding of the
@@ -129,8 +129,10 @@ def test_one_iteration_as_ref(k, n, weights):
     if n >= k:
         assert np.all(np.abs(f - f_ref) <= _objective_tolerance(h, dw, budget, f_ref))
     else:
-        start = np.repeat((budget / k)[:, None], k, axis=1)
-        f_start = _ref.dual_objective(h, dw, start, SIGMA2)
+        f_start = np.array([
+            _ref.dual_objective(h[b], dw[b], np.full(k, budget[b] / k), SIGMA2)
+            for b in range(budget.size)
+        ])
         assert np.all(f >= f_start) and np.all(f_ref >= f_start)
 
 

@@ -119,6 +119,19 @@ def test_weights_length_mismatch(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "count,want",
+    [("1", "ue.weights needs 1 value, got 2"),
+     ("3", "ue.weights needs 1 or 3 comma-separated values, got 2")],
+)
+def test_vector_length_message_exits_2(count, want, capsys):
+    from uavwpt.cli import main
+
+    assert main(["simulate", "--trials", "2", "--set", f"ue.count={count}",
+                 "--set", "ue.weights=1,2"]) == 2
+    assert capsys.readouterr().err == f"config error: {want}\n"
+
+
 def test_trials_must_be_positive(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[sweep]\ntrials = 0\n")

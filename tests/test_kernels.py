@@ -33,16 +33,15 @@ def test_forward_substitution_has_a_small_backward_error(k, n):
     # ||L x - h||_inf <= c N eps ||L||_inf ||x||_inf for every factor L_k and
     # user h_m, with c = 2; the residual is formed in long double so its own
     # rounding does not count.
-    h, dw, p = _instances(k, n, BUDGETS.size, seed=10 * k + n)
-    outer, rhs, _, _ = _ref._invariants(h, dw)
-    chol = _ref._factors(outer, p, SIGMA2, np.eye(n))
-    sol = _ref._forward_substitute(*_ref._planes(chol), rhs)
-    assert sol.shape == (n, k, BUDGETS.size, k)
-    x = np.moveaxis(sol, (0, 1), (2, 3))  # [b, k, j, m]
+    h, _, p = _instances(k, n, BUDGETS.size, seed=10 * k + n)
     wide = np.clongdouble
-    residual = np.abs(np.matmul(chol.astype(wide), x.astype(wide)) - rhs.astype(wide))
-    lhs = residual.max(axis=-2).astype(float)
-    norm_l = np.abs(chol).sum(axis=-1).max(axis=-1)
-    norm_x = np.abs(x).max(axis=-2)
-    assert np.all(np.isfinite(norm_x)) and np.all(norm_x > 0.0)
-    assert np.all(lhs <= 2.0 * n * EPS * norm_l[..., None] * norm_x)
+    for b in range(BUDGETS.size):
+        chol = _ref.factors(h[b], p[b], SIGMA2)
+        x = _ref._substitute(chol, h[b])  # [k, j, m]
+        assert x.shape == (k, n, k)
+        residual = np.abs(np.matmul(chol.astype(wide), x.astype(wide)) - h[b].T.astype(wide))
+        lhs = residual.max(axis=-2).astype(float)
+        norm_l = np.abs(chol).sum(axis=-1).max(axis=-1)
+        norm_x = np.abs(x).max(axis=-2)
+        assert np.all(np.isfinite(norm_x)) and np.all(norm_x > 0.0)
+        assert np.all(lhs <= 2.0 * n * EPS * norm_l[:, None] * norm_x)

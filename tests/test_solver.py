@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavwpt import _kernels
 from uavwpt._kernels import _ref
 from uavwpt.channel import ChannelRealization, draw_channel, draw_topology, trial_rng
 from uavwpt.rate import (
@@ -32,28 +31,28 @@ def _instance(seed, trial, k, n=3):
 # ---------------------------------------------------------------- projection
 
 def test_projection_passthrough_when_feasible():
-    assert np.allclose(_kernels.project_simplex([1.0, 2.0], 10.0), [1.0, 2.0])
+    assert np.allclose(_ref.project_simplex([1.0, 2.0], 10.0), [1.0, 2.0])
 
 
 def test_projection_symmetric_split():
-    assert np.allclose(_kernels.project_simplex([2.0, 2.0], 2.0), [1.0, 1.0])
+    assert np.allclose(_ref.project_simplex([2.0, 2.0], 2.0), [1.0, 1.0])
 
 
 def test_projection_negative_coordinate_dropped():
-    assert np.allclose(_kernels.project_simplex([-1.0, 3.0], 2.0), [0.0, 2.0])
+    assert np.allclose(_ref.project_simplex([-1.0, 3.0], 2.0), [0.0, 2.0])
 
 
 def test_projection_clips_negatives_inside_budget():
-    assert np.allclose(_kernels.project_simplex([-5.0, 1.0], 10.0), [0.0, 1.0])
+    assert np.allclose(_ref.project_simplex([-5.0, 1.0], 10.0), [0.0, 1.0])
 
 
 def test_projection_zero_budget():
-    assert np.allclose(_kernels.project_simplex([3.0, 4.0], 0.0), [0.0, 0.0])
+    assert np.allclose(_ref.project_simplex([3.0, 4.0], 0.0), [0.0, 0.0])
 
 
 def test_projection_rejects_negative_budget():
     with pytest.raises(ValueError):
-        _kernels.project_simplex([1.0], -1.0)
+        _ref.project_simplex([1.0], -1.0)
 
 
 def test_projection_against_fine_grid():
@@ -65,7 +64,7 @@ def test_projection_against_fine_grid():
     points = np.stack([xx[mask], yy[mask]], axis=1)
     for _ in range(20):
         v = rng.uniform(-2.0, 3.0, size=2)
-        proj = _kernels.project_simplex(v, 2.0)
+        proj = _ref.project_simplex(v, 2.0)
         best = points[np.argmin(np.sum((points - v) ** 2, axis=1))]
         assert np.linalg.norm(proj - best) <= 0.01  # lattice pitch 5e-3
         assert proj.min() >= 0.0
@@ -78,10 +77,10 @@ def test_projection_idempotent_and_feasible():
         k = int(rng.integers(1, 8))
         budget = float(rng.uniform(0.0, 50.0))
         v = rng.uniform(-20.0, 40.0, size=k)
-        p = _kernels.project_simplex(v, budget)
+        p = _ref.project_simplex(v, budget)
         assert p.min() >= 0.0
         assert p.sum() <= budget + 1e-9 * max(budget, 1.0)
-        again = _kernels.project_simplex(p, budget)
+        again = _ref.project_simplex(p, budget)
         assert np.allclose(again, p, atol=1e-12)
 
 
@@ -91,7 +90,7 @@ def test_projection_of_large_steps_onto_a_tiny_budget_stays_feasible():
     rng = np.random.default_rng(406)
     for _ in range(200):
         v = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 17))) * 1e3
-        p = _kernels.project_simplex(v, 1e-9)
+        p = _ref.project_simplex(v, 1e-9)
         assert p.min() >= 0.0
         assert p.sum() <= 1e-9
         assert p.sum() == pytest.approx(1e-9, rel=1e-6)
@@ -100,16 +99,16 @@ def test_projection_of_large_steps_onto_a_tiny_budget_stays_feasible():
 # -------------------------------------------------------------- KKT residual
 
 def test_kkt_single_active_coordinate():
-    assert _kernels.kkt_residual([5.0], [0.123], 5.0, 1e-9 * 5.0) == 0.0
+    assert _ref.kkt_residual([5.0], [0.123], 5.0, 1e-9 * 5.0) == 0.0
 
 
 def test_kkt_flags_unequal_active_gradients():
-    r = _kernels.kkt_residual([2.0, 2.0], [1.0, 0.5], 4.0, 1e-9 * 4.0)
+    r = _ref.kkt_residual([2.0, 2.0], [1.0, 0.5], 4.0, 1e-9 * 4.0)
     assert r == pytest.approx(0.5, rel=1e-12)  # |0.5 - 1|/1
 
 
 def test_kkt_flags_budget_slack():
-    r = _kernels.kkt_residual([1.0, 1.0], [1.0, 1.0], 4.0, 1e-9 * 4.0)
+    r = _ref.kkt_residual([1.0, 1.0], [1.0, 1.0], 4.0, 1e-9 * 4.0)
     assert r == pytest.approx(0.5, rel=1e-12)  # |2 - 4|/4
 
 
@@ -122,13 +121,13 @@ def test_kkt_grows_with_perturbation():
     base = report.kkt_residual
     last = base
     for scale in (0.01, 0.05, 0.2):
-        bad = _kernels.project_simplex(
+        bad = _ref.project_simplex(
             report.p + scale * budget * np.array([1.0, -1.0, 0.3]), budget
         )
         grad_perm = objective_gradient(bad, channels, w, perm, SIGMA2)
         grad = np.empty(3)
         grad[perm] = grad_perm
-        r = _kernels.kkt_residual(bad, grad, budget, 1e-9 * budget)
+        r = _ref.kkt_residual(bad, grad, budget, 1e-9 * budget)
         assert r > last
         last = r
 
@@ -311,12 +310,12 @@ def test_benchmark_instances_solve_in_few_newton_iterations(monkeypatch):
     h, dw, budget = (np.stack(column) for column in zip(*instances))
     factorised = 0
 
-    def cholesky(acc, _real=_ref._cholesky):
+    def factors(h, p, sigma2, _real=_ref.factors):
         nonlocal factorised
-        factorised += acc.shape[0]
-        return _real(acc)
+        factorised += 1
+        return _real(h, p, sigma2)
 
-    monkeypatch.setattr(_ref, "_cholesky", cholesky)
+    monkeypatch.setattr(_ref, "factors", factors)
     _, _, iterations, kkt, converged = _ref.solve_pga_batch(h, dw, SIGMA2, budget, *SETTINGS)
     assert np.all(converged) and np.all(kkt <= 1e-6)
     assert np.percentile(iterations, 99) <= 8
