@@ -1,9 +1,12 @@
 """Pure-NumPy kernels: the objective, its derivatives and the solver, one row at a time.
 
-:func:`solve_pga` is an active-set projected Newton method; the objective,
-its gradient and Hessian (:func:`evaluate`), the projection and the KKT
-residual are its building blocks, and uavwpt.rate evaluates the throughput
-through the same Cholesky factors (:func:`factors`, :func:`logdets`).
+:func:`solve_pga` is an active-set projected Newton method; the objective
+and its gradient (:func:`evaluate`), the Hessian on the free face
+(:func:`face_hessian`, built from the products L_k^{-1} h_m that an
+evaluation leaves, only where a Newton step reads it), the projection and
+the KKT residual are its building blocks, and uavwpt.rate evaluates the
+throughput through the same Cholesky factors (:func:`factors`,
+:func:`logdets`).
 Everything works in *permuted* coordinates on raw arrays of one instance:
 ``h`` is the (K, N) channel matrix with rows ordered by the encoding
 permutation and ``dw`` the nonincreasing-weight decrements, so the
@@ -67,23 +70,44 @@ def _substitute(chol, h):
 
 
 def evaluate(h, dw, p, sigma2):
-    """Objective, gradient and Hessian at p from one factorisation.
+    """Objective, gradient and the products z from one factorisation.
 
-    With z_km = L_k^{-1} h_m and the sums over k >= max(m, n) with dw[k] != 0,
-    in k order:
+    z[k, j, m] = (L_k^{-1} h_m)[j] (:func:`_substitute`) is what
+    :func:`face_hessian` reads when a Newton step is taken from p.  With the
+    sums over k >= m with dw[k] != 0, in k order:
 
-        grad[m] = sum_k dw[k] ||z_km||^2 / sigma2,
-        hess[m, n] = -sum_k dw[k] |<z_km, z_kn>|^2 / sigma2^2.
+        grad[m] = sum_k dw[k] ||z_km||^2 / sigma2.
     """
     h = np.asarray(h, dtype=complex)
     dw = np.asarray(dw, dtype=float)
     chol = factors(h, p, sigma2)
     z = _substitute(chol, h)
+    # quad[k, m] = ||z_km||^2, summed over j in order.
+    quad = np.add.accumulate(np.square(z.real) + np.square(z.imag), axis=1)[:, -1]
+    grad = np.add.reduce(np.where(_counts(dw), dw[:, None] * quad / sigma2, 0.0), axis=0)
+    return _objective(dw, chol), grad, z
+
+
+def _counts(dw):
+    """[k, m]: user m's terms of factor k count (m <= k and dw[k] != 0)."""
+    users = np.arange(dw.size)
+    return (users <= users[:, None]) & (dw != 0.0)[:, None]
+
+
+def face_hessian(z, dw, sigma2, face):
+    """The Hessian on the face from :func:`evaluate`'s z, (K, K).
+
+    For users m, n both in the boolean mask ``face``, with the sum over
+    k >= max(m, n) with dw[k] != 0, in k order:
+
+        hess[m, n] = -sum_k dw[k] |<z_km, z_kn>|^2 / sigma2^2.
+
+    The entries off the face are -0.0.  The inner products come from one
+    Gram product over all users, so an entry does not depend on the rest
+    of the face.
+    """
     gram = np.matmul(z.conj().transpose(0, 2, 1), z)  # [k, m, n] = <z_km, z_kn>
-    # counts[k, m]: user m's terms of factor k count (m <= k and dw[k] != 0).
-    counts = np.tril(np.ones((dw.size, dw.size), dtype=bool)) & (dw != 0.0)[:, None]
-    quad = np.diagonal(gram, axis1=1, axis2=2).real
-    grad = np.add.reduce(np.where(counts, dw[:, None] * quad / sigma2, 0.0), axis=0)
+    counts = _counts(dw) & face
     weight = (-dw / sigma2 / sigma2)[:, None, None]
     # -0.0, not 0.0, is the identity of floating-point addition.
     terms = np.where(
@@ -91,8 +115,7 @@ def evaluate(h, dw, p, sigma2):
         (np.square(gram.real) + np.square(gram.imag)) * weight,
         -0.0,
     )
-    hess = np.add.reduce(terms, axis=0, initial=-0.0)
-    return _objective(dw, chol), grad, hess
+    return np.add.reduce(terms, axis=0, initial=-0.0)
 
 
 def dual_objective(h, dw, p, sigma2):
@@ -160,20 +183,22 @@ def _gradient_step(g, cap):
     return g * (cap / np.abs(g).max())
 
 
-def _newton_step(p, g, hess, cap, eps_act):
+def _newton_step(p, g, z, dw, sigma2, cap, eps_act):
     """The search direction and whether it is the Newton one.
 
     The free set is {p > eps_act} plus the coordinates at the largest
-    gradient; the rest stay put.  On the free face the Newton direction d
-    maximises g.d + d.H.d/2 subject to sum(d) = 0: one solve of
-    (ridge - H) [x y] = [g 1] and d = x - (sum x / sum y) y, where a ridge
-    of _RIDGE times the face's largest curvature keeps singular faces (tied
-    or zero weights, N < |F|) solvable.  Its ascent g.d = -d.H.d is positive
-    when H is negative definite on the face; where it is not (unsorted
-    weights give negative decrements) the direction is _gradient_step.
+    gradient; the rest stay put.  The Hessian H on the free face is built
+    from the z that :func:`evaluate` gave at p (:func:`face_hessian`).  On
+    the free face the Newton direction d maximises g.d + d.H.d/2 subject to
+    sum(d) = 0: one solve of (ridge - H) [x y] = [g 1] and
+    d = x - (sum x / sum y) y, where a ridge of _RIDGE times the face's
+    largest curvature keeps singular faces (tied or zero weights, N < |F|)
+    solvable.  Its ascent g.d = -d.H.d is positive when H is negative
+    definite on the face; where it is not (unsorted weights give negative
+    decrements) the direction is _gradient_step.
     """
     free = (p > eps_act) | (g >= g.max())
-    curv = np.where(free[:, None] & free[None, :], -hess, 0.0)
+    curv = -face_hessian(z, dw, sigma2, free)  # 0.0 off the face
     scale = np.diagonal(curv).max()
     curv.flat[:: g.size + 1] += np.where(free, _RIDGE * scale if scale > 0.0 else 1.0, 1.0)
     x, y = np.linalg.solve(curv, np.stack([np.where(free, g, 0.0), free], axis=1)).T
@@ -198,10 +223,12 @@ def solve_pga(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
     the KKT tolerance already holds; a search that finds no ascent stops
     as numerically stationary, converged if its KKT residual holds.  Ascent
     below the rounding of f counts as none.  Each trial point gets one
-    :func:`evaluate` (value, gradient and Hessian from one factorisation),
-    and an accepted point keeps it, so a solve factorises
-    1 + (number of trial points) times.  Deterministic: fixed uniform
-    start, no randomness.
+    :func:`evaluate` (value, gradient and the products z from one
+    factorisation), and an accepted point keeps it, so a solve factorises
+    1 + (number of trial points) times.  The face Hessian is built from z
+    once per iteration, at the point the step starts from: never at a
+    rejected trial point or at the point returned.  Deterministic: fixed
+    uniform start, no randomness.
     """
     dw = np.asarray(dw, dtype=float)
     budget = float(budget)
@@ -212,12 +239,12 @@ def solve_pga(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
         return np.zeros(k_ues), 0.0, 0, 0.0, True
     eps_act = 1e-9 * budget
     p = np.full(k_ues, budget / k_ues)
-    f, g, hess = evaluate(h, dw, p, sigma2)
+    f, g, z = evaluate(h, dw, p, sigma2)
     kkt = kkt_residual(p, g, budget, eps_act)
     if kkt <= kkt_tol:
         return p, f, 0, kkt, True
     for iteration in range(1, max_iter + 1):
-        step, newton = _newton_step(p, g, hess, budget, eps_act)
+        step, newton = _newton_step(p, g, z, dw, sigma2, budget, eps_act)
         t, accepted = 1.0, False
         for _ in range(_MAX_BACKTRACK):
             trial = project_simplex(p + t * step, budget)
@@ -232,7 +259,7 @@ def solve_pga(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
                     break
                 newton, t, step = False, 1.0, _gradient_step(g, budget)
                 continue
-            f_trial, g_trial, hess_trial = evaluate(h, dw, trial, sigma2)
+            f_trial, g_trial, z_trial = evaluate(h, dw, trial, sigma2)
             if f_trial >= f + armijo * ascent:
                 accepted = True
                 break
@@ -240,7 +267,7 @@ def solve_pga(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
         if not accepted:  # numerically stationary
             return p, f, iteration, kkt, bool(kkt <= kkt_tol)
         rel_change = abs(f_trial - f) / max(abs(f_trial), 1e-300)
-        p, f, g, hess = trial, f_trial, g_trial, hess_trial
+        p, f, g, z = trial, f_trial, g_trial, z_trial
         kkt = kkt_residual(p, g, budget, eps_act)
         if rel_change <= tol and kkt <= kkt_tol:
             return p, f, iteration, kkt, True

@@ -15,6 +15,14 @@
  * of _ref (Cholesky, Gram products, the face solve, dot products) may round
  * differently, so results agree with _ref to rounding, not bit for bit.
  *
+ * An evaluation gives the value and the gradient and leaves L_k^{-1} h_m for
+ * every m <= k in the workspace, K (K + 1) N / 2 complex values (17 kB at
+ * K = 16, N = 8).  The Hessian is built from them in newton_step, on the
+ * free face only: once per iteration, never at a rejected trial point or at
+ * the point a row stops at.  The whole workspace, one malloc per call, is
+ * 2 K N^2 + K (K + 1) N + 2 K^2 + 2 K N + 4 N^2 + 10 K doubles (42 kB at
+ * K = 16, N = 8).
+ *
  * Returns 0, 1 when a Cholesky pivot of some A_k is not positive (or is
  * NaN), or 2 when the workspace cannot be allocated.
  */
@@ -33,13 +41,15 @@ static double np_max(double a, double b) { return (a >= b || a != a) ? a : b; }
 typedef struct {
     int64_t K, N;
     double *outer; /* (K, N, N) pairs: h_k h_k^H, lower triangle */
+    double *h_t;   /* (N, K) pairs: the row's channels, antenna-major */
     double *acc;   /* (N, N) pairs: A_k, lower triangle */
     double *chol;  /* (N, N) pairs: its Cholesky factor L_k */
-    double *z;     /* (K, N) pairs: L_k^{-1} h_m for m <= k */
+    double *z;     /* K planes; plane k is (N, k + 1) pairs: L_k^{-1} h_m for m <= k */
+    double *quad;  /* (K,): ||L_k^{-1} h_m||^2 of the current plane */
     double *face;  /* (K, K + 2): the face system and its two right-hand sides */
     double *on_face; /* (K,): 1.0 for the users on the free face, else 0.0 */
-    double *g, *hess;  /* the row's current gradient (K) and Hessian (K, K) */
-    double *v, *u, *trial, *step, *cand_g, *cand_h;
+    double *g, *hess;  /* the row's current gradient (K) and face Hessian (K, K) */
+    double *v, *u, *trial, *step, *cand_g;
 } Work;
 
 static double *take(double **cursor, int64_t count)
@@ -49,17 +59,23 @@ static double *take(double **cursor, int64_t count)
     return out;
 }
 
+/* Plane k of z starts after the planes of k' < k, which hold (k' + 1) * N pairs each. */
+static double *plane(const Work *w, int64_t k) { return w->z + k * (k + 1) * w->N; }
+
 static int work_init(Work *w, int64_t K, int64_t N)
 {
-    int64_t total = 2 * K * N * N + 4 * N * N + 2 * K * N + K * (K + 2) + 7 * K + 2 * K * K;
+    int64_t total = 2 * K * N * N + 2 * K * N + 4 * N * N + N * K * (K + 1) + K * (K + 2)
+                    + 8 * K + K * K;
     double *cursor = malloc((size_t)(total > 0 ? total : 1) * sizeof(double));
     if (cursor == NULL) return 0;
     w->K = K;
     w->N = N;
     w->outer = take(&cursor, 2 * K * N * N);
+    w->h_t = take(&cursor, 2 * K * N);
     w->acc = take(&cursor, 2 * N * N);
     w->chol = take(&cursor, 2 * N * N);
-    w->z = take(&cursor, 2 * K * N);
+    w->z = take(&cursor, N * K * (K + 1));
+    w->quad = take(&cursor, K);
     w->face = take(&cursor, K * (K + 2));
     w->on_face = take(&cursor, K);
     w->v = take(&cursor, K);
@@ -69,11 +85,11 @@ static int work_init(Work *w, int64_t K, int64_t N)
     w->g = take(&cursor, K);
     w->hess = take(&cursor, K * K);
     w->cand_g = take(&cursor, K);
-    w->cand_h = take(&cursor, K * K);
     return 1;
 }
 
-/* The outer products h_k h_k^H of one row (as _ref.factors forms them), lower triangle. */
+/* The outer products h_k h_k^H of one row (as _ref.factors forms them), lower
+ * triangle, and the row's channels transposed to antenna-major order. */
 static void invariants(Work *w, const double *h)
 {
     int64_t K = w->K, N = w->N;
@@ -87,6 +103,10 @@ static void invariants(Work *w, const double *h)
                 o[2 * (i * N + j)] = ar * br - ai * bi;
                 o[2 * (i * N + j) + 1] = ar * bi + ai * br;
             }
+        for (int64_t j = 0; j < N; j++) {
+            w->h_t[2 * (j * K + k)] = hk[2 * j];
+            w->h_t[2 * (j * K + k) + 1] = hk[2 * j + 1];
+        }
     }
 }
 
@@ -124,21 +144,20 @@ static int cholesky(Work *w)
 }
 
 /*
- * Objective, gradient and Hessian at p from one factorisation per user
- * (_ref.evaluate): value = sum_k dw[k] logdet(A_k),
- * grad[m] = sum_{k >= m} dw[k] ||L_k^{-1} h_m||^2 / sigma2 and
- * hess[m, n] = -sum_{k >= max(m, n)} dw[k] |<L_k^{-1} h_m, L_k^{-1} h_n>|^2 / sigma2^2.
- * Returns 0 if some A_k is not positive definite.
+ * Objective and gradient at p from one factorisation per user
+ * (_ref.evaluate): value = sum_k dw[k] logdet(A_k) and
+ * grad[m] = sum_{k >= m} dw[k] ||L_k^{-1} h_m||^2 / sigma2.  The products
+ * L_k^{-1} h_m stay in plane k of w->z for face_hessian, which reads them
+ * only when a Newton step is taken from p; planes with dw[k] == 0 are not
+ * written.  Returns 0 if some A_k is not positive definite.
  */
-static int evaluate(Work *w, const double *h, const double *dw, const double *p,
-                    double sigma2, double *value, double *grad, double *hess)
+static int evaluate(Work *w, const double *dw, const double *p, double sigma2, double *value,
+                    double *grad)
 {
     int64_t K = w->K, N = w->N;
-    double *a = w->acc, *l = w->chol, *z = w->z;
+    double *a = w->acc, *l = w->chol, *quad = w->quad;
     double total = 0.0;
     for (int64_t m = 0; m < K; m++) grad[m] = 0.0;
-    /* -0.0, not 0.0, is the identity of floating-point addition. */
-    for (int64_t m = 0; m < K * K; m++) hess[m] = -0.0;
     for (int64_t k = 0; k < K; k++) {
         double s = p[k] / sigma2;
         const double *o = w->outer + 2 * k * N * N;
@@ -160,42 +179,78 @@ static int evaluate(Work *w, const double *h, const double *dw, const double *p,
         double term = dw[k] * (2.0 * logdet);
         total = k == 0 ? term : total + term;
         if (dw[k] == 0.0) continue; /* its gradient and Hessian terms are zero */
-        /* z_m = L_k^{-1} h_m by column-oriented forward substitution. */
-        for (int64_t m = 0; m <= k; m++) {
-            double *zm = z + 2 * m * N;
-            memcpy(zm, h + 2 * m * N, (size_t)(2 * N) * sizeof(double));
-            double quad = 0.0;
-            for (int64_t j = 0; j < N; j++) {
-                double pivot = l[2 * (j * N + j)];
-                zm[2 * j] /= pivot;
-                zm[2 * j + 1] /= pivot;
-                double xr = zm[2 * j], xi = zm[2 * j + 1];
-                for (int64_t i = j + 1; i < N; i++) {
-                    double yr = l[2 * (i * N + j)], yi = l[2 * (i * N + j) + 1];
-                    zm[2 * i] -= xr * yr - xi * yi;
-                    zm[2 * i + 1] -= xr * yi + xi * yr;
-                }
-                quad = j == 0 ? xr * xr + xi * xi : quad + (xr * xr + xi * xi);
+        /* z_m = L_k^{-1} h_m for all m <= k at once, by column-oriented
+         * forward substitution, one antenna row j at a time: z[j][m] is
+         * row j of z_m.  Column 0 reads the channels and writes every row
+         * of z; later columns update z in place. */
+        int64_t M = k + 1;
+        double *z = plane(w, k);
+        for (int64_t j = 0; j < N; j++) {
+            const double *src = j == 0 ? w->h_t : z;
+            int64_t stride = j == 0 ? 2 * K : 2 * M;
+            double pivot = l[2 * (j * N + j)];
+            double *zj = z + 2 * j * M;
+            const double *sj = src + j * stride;
+            for (int64_t m = 0; m < M; m++) {
+                double xr = sj[2 * m] / pivot, xi = sj[2 * m + 1] / pivot;
+                zj[2 * m] = xr;
+                zj[2 * m + 1] = xi;
+                quad[m] = j == 0 ? xr * xr + xi * xi : quad[m] + (xr * xr + xi * xi);
             }
-            grad[m] += dw[k] * quad / sigma2;
+            for (int64_t i = j + 1; i < N; i++) {
+                double yr = l[2 * (i * N + j)], yi = l[2 * (i * N + j) + 1];
+                double *zi = z + 2 * i * M;
+                const double *si = src + i * stride;
+                for (int64_t m = 0; m < M; m++) {
+                    double xr = zj[2 * m], xi = zj[2 * m + 1];
+                    zi[2 * m] = si[2 * m] - (xr * yr - xi * yi);
+                    zi[2 * m + 1] = si[2 * m + 1] - (xr * yi + xi * yr);
+                }
+            }
         }
+        for (int64_t m = 0; m < M; m++) grad[m] += dw[k] * quad[m] / sigma2;
+    }
+    *value = total + 0.0; /* + 0.0 turns an all-zero -0.0 sum into +0.0 */
+    return 1;
+}
+
+/*
+ * The Hessian on the free face from the planes the last evaluate left
+ * (_ref.face_hessian): for users m, n both on the face,
+ * hess[m, n] = -sum_{k >= max(m, n)} dw[k] |<L_k^{-1} h_m, L_k^{-1} h_n>|^2 / sigma2^2,
+ * summed in k order over dw[k] != 0.  Entries off the face are not written.
+ */
+static void face_hessian(Work *w, const double *dw, double sigma2)
+{
+    int64_t K = w->K, N = w->N;
+    const double *on_face = w->on_face;
+    double *hess = w->hess;
+    /* -0.0, not 0.0, is the identity of floating-point addition. */
+    for (int64_t m = 0; m < K; m++)
+        for (int64_t n = 0; n < K; n++)
+            if (on_face[m] && on_face[n]) hess[m * K + n] = -0.0;
+    for (int64_t k = 0; k < K; k++) {
+        if (dw[k] == 0.0) continue;
+        int64_t M = k + 1;
+        const double *z = plane(w, k);
         double weight = -dw[k] / sigma2 / sigma2;
-        for (int64_t m = 0; m <= k; m++)
-            for (int64_t n = m; n <= k; n++) {
-                const double *zm = z + 2 * m * N, *zn = z + 2 * n * N;
+        for (int64_t m = 0; m < M; m++) {
+            if (!on_face[m]) continue;
+            for (int64_t n = m; n < M; n++) {
+                if (!on_face[n]) continue;
                 double gr = 0.0, gi = 0.0;
                 for (int64_t j = 0; j < N; j++) {
                     /* conj(z_m[j]) * z_n[j] */
-                    gr += zm[2 * j] * zn[2 * j] + zm[2 * j + 1] * zn[2 * j + 1];
-                    gi += zm[2 * j] * zn[2 * j + 1] - zm[2 * j + 1] * zn[2 * j];
+                    const double *zm = z + 2 * (j * M + m), *zn = z + 2 * (j * M + n);
+                    gr += zm[0] * zn[0] + zm[1] * zn[1];
+                    gi += zm[0] * zn[1] - zm[1] * zn[0];
                 }
                 double t = (gr * gr + gi * gi) * weight;
                 hess[m * K + n] += t;
                 if (n != m) hess[n * K + m] += t;
             }
+        }
     }
-    *value = total + 0.0; /* + 0.0 turns an all-zero -0.0 sum into +0.0 */
-    return 1;
 }
 
 /* Euclidean projection of v onto {p >= 0, sum p <= budget} (_ref.project_simplex). */
@@ -283,17 +338,19 @@ static void gradient_step(int64_t K, const double *g, double cap, double *step)
  * The search direction of one row and whether it is the Newton one
  * (_ref._newton_step): the Newton direction on the free face under
  * sum(d) = 0, from (ridge - H) [x y] = [g 1] by Gaussian elimination with
- * partial pivoting, else the gradient step.
+ * partial pivoting, else the gradient step.  H is built here, on the face
+ * only, from the planes that evaluate left at p.
  */
-static int newton_step(Work *w, const double *p, const double *g, const double *hess,
-                       double cap, double eps_act, double *step)
+static int newton_step(Work *w, const double *p, const double *g, const double *dw,
+                       double sigma2, double cap, double eps_act, double *step)
 {
     int64_t K = w->K, W = K + 2;
-    double *a = w->face;
+    double *a = w->face, *hess = w->hess;
     double top = g[0];
     for (int64_t m = 1; m < K; m++) top = np_max(top, g[m]);
     /* The free face: users with power plus those at the largest gradient. */
     for (int64_t m = 0; m < K; m++) w->on_face[m] = p[m] > eps_act || g[m] >= top;
+    face_hessian(w, dw, sigma2);
     for (int64_t m = 0; m < K; m++) {
         for (int64_t n = 0; n < K; n++)
             a[m * W + n] = w->on_face[m] && w->on_face[n] ? -hess[m * K + n] : 0.0;
@@ -349,7 +406,7 @@ int solve_pga_batch(int64_t B, int64_t K, int64_t N, const double *h, const doub
     int status = 0;
     for (int64_t b = 0; b < B && status == 0; b++) {
         const double *hb = h + 2 * b * K * N, *db = dw + b * K;
-        double *p = p_out + b * K, *g = w.g, *hess = w.hess;
+        double *p = p_out + b * K, *g = w.g;
         double cap = budget[b], f, kkt = 0.0;
         int64_t iteration = 0;
         int converged = 1;
@@ -364,7 +421,7 @@ int solve_pga_batch(int64_t B, int64_t K, int64_t N, const double *h, const doub
         double eps_act = 1e-9 * cap;
         for (int64_t m = 0; m < K; m++) p[m] = cap / (double)K;
         invariants(&w, hb);
-        if (!evaluate(&w, hb, db, p, sigma2, &f, g, hess)) {
+        if (!evaluate(&w, db, p, sigma2, &f, g)) {
             status = 1;
             break;
         }
@@ -373,7 +430,7 @@ int solve_pga_batch(int64_t B, int64_t K, int64_t N, const double *h, const doub
             converged = 0;
             for (iteration = 1; iteration <= max_iter; iteration++) {
                 double *step = w.step, *trial = w.trial, *v = w.v;
-                int newton = newton_step(&w, p, g, hess, cap, eps_act, step);
+                int newton = newton_step(&w, p, g, db, sigma2, cap, eps_act, step);
                 double t = 1.0, f_cand = 0.0;
                 int accepted = 0;
                 for (int attempt = 0; attempt < MAX_BACKTRACK; attempt++) {
@@ -393,7 +450,7 @@ int solve_pga_batch(int64_t B, int64_t K, int64_t N, const double *h, const doub
                         gradient_step(K, g, cap, step);
                         continue;
                     }
-                    if (!evaluate(&w, hb, db, trial, sigma2, &f_cand, w.cand_g, w.cand_h)) {
+                    if (!evaluate(&w, db, trial, sigma2, &f_cand, w.cand_g)) {
                         status = 1;
                         break;
                     }
@@ -411,7 +468,6 @@ int solve_pga_batch(int64_t B, int64_t K, int64_t N, const double *h, const doub
                 double rel_change = fabs(f_cand - f) / np_max(fabs(f_cand), 1e-300);
                 memcpy(p, trial, (size_t)K * sizeof(double));
                 memcpy(g, w.cand_g, (size_t)K * sizeof(double));
-                memcpy(hess, w.cand_h, (size_t)(K * K) * sizeof(double));
                 f = f_cand;
                 kkt = kkt_residual(K, p, g, cap, eps_act);
                 if (rel_change <= tol && kkt <= kkt_tol) {

@@ -93,8 +93,8 @@ def _first_step(h, dw, cap):
     gives no ascent (the row takes the gradient arc), or its trial point at
     t = 1 is accepted or not (the row backtracks)."""
     p = np.full(dw.size, cap / dw.size)
-    f, g, hess = _ref.evaluate(h, dw, p, SIGMA2)
-    step, newton = _ref._newton_step(p, g, hess, cap, 1e-9 * cap)
+    f, g, z = _ref.evaluate(h, dw, p, SIGMA2)
+    step, newton = _ref._newton_step(p, g, z, dw, SIGMA2, cap, 1e-9 * cap)
     if not newton:
         return "no ascent"
     trial = _ref.project_simplex(p + step, cap)
@@ -180,6 +180,50 @@ def test_each_trial_point_is_factorised_once(monkeypatch):
     assert out[2] == max_iter and not out[4]
     assert counts["projected"] > max_iter  # some trial points were rejected
     assert counts["factorised"] == 1 + counts["projected"]
+
+
+def test_each_iteration_builds_one_face_hessian(monkeypatch):
+    # The Hessian is built only where a Newton step is taken: at the start
+    # and at each accepted point, never at a rejected trial point or at the
+    # point the solve returns.
+    h, dw, budget = _line_search_batch()
+    h, dw, cap = h[3], dw[3], budget[3]
+    max_iter = 6
+    evaluated = []  # (p, z) of every evaluation, in order
+    stepped = []  # the p of every Newton step, in order
+    built = []  # the z of every face Hessian, in order
+
+    def evaluate(h, dw, p, sigma2, _real=_ref.evaluate):
+        out = _real(h, dw, p, sigma2)
+        evaluated.append((p.copy(), out[2]))
+        return out
+
+    def newton_step(p, g, z, *args, _real=_ref._newton_step):
+        stepped.append(p.copy())
+        return _real(p, g, z, *args)
+
+    def face_hessian(z, *args, _real=_ref.face_hessian):
+        built.append(z)
+        return _real(z, *args)
+
+    monkeypatch.setattr(_ref, "evaluate", evaluate)
+    monkeypatch.setattr(_ref, "_newton_step", newton_step)
+    monkeypatch.setattr(_ref, "face_hessian", face_hessian)
+    p, _, iterations, _, _ = _ref.solve_pga(
+        h, dw, SIGMA2, cap, ARGS[0], 0.0, max_iter, *LINE_SEARCH
+    )
+    assert iterations == max_iter
+    assert len(evaluated) > len(built) + 1  # some trial points were rejected
+    assert len(built) == len(stepped) == iterations
+    for point, z in zip(stepped, built):
+        # The face Hessian reads the z evaluated at the point it steps from.
+        assert sum(z is z_eval for _, z_eval in evaluated) == 1
+        p_eval = next(p_eval for p_eval, z_eval in evaluated if z_eval is z)
+        assert np.array_equal(p_eval, point)
+    # Points: the start, then each accepted trial point; the last of those is returned.
+    assert np.array_equal(stepped[0], evaluated[0][0])
+    assert np.array_equal(evaluated[-1][0], p)
+    assert not any(z is evaluated[-1][1] for z in built)
 
 
 def test_zero_budget_rows_are_trivially_optimal():

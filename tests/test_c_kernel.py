@@ -79,18 +79,7 @@ def _assert_flags_agree(budget, converged, kkt, conv_ref, kkt_ref):
     assert np.all(kkt_ref[differ & ~conv_ref] <= 100 * TOLS[1])
 
 
-@needs_cc
-def test_backend_is_c():
-    assert _kernels.BACKEND == "c"
-    assert isinstance(_kernels.solve_pga_batch.__self__, _c.CKernel)
-
-
-@needs_cc
-@pytest.mark.parametrize("weights", ["descending", "zero", "tied"])
-@pytest.mark.parametrize("n", [1, 3, 8])
-@pytest.mark.parametrize("k", [1, 2, 5, 16])
-def test_c_solves_as_ref_does(k, n, weights):
-    h, dw, budget = _instances(k, n, weights, seed=100 * k + n)
+def _assert_solves_as_ref(h, dw, budget):
     args = (SIGMA2, budget, *TOLS, 10_000, *LINE_SEARCH)
     p, f, iterations, kkt, converged = _kernel().solve_pga_batch(h, dw, *args)
     _, f_ref, it_ref, kkt_ref, conv_ref = _ref.solve_pga_batch(h, dw, *args)
@@ -102,6 +91,29 @@ def test_c_solves_as_ref_does(k, n, weights):
     assert converged[zero].all()
     _assert_flags_agree(budget, converged, kkt, conv_ref, kkt_ref)
     assert np.all(iterations[~converged] < 10_000) and np.all(it_ref[~conv_ref] < 10_000)
+
+
+@needs_cc
+def test_backend_is_c():
+    assert _kernels.BACKEND == "c"
+    assert isinstance(_kernels.solve_pga_batch.__self__, _c.CKernel)
+
+
+@needs_cc
+@pytest.mark.parametrize("weights", ["descending", "zero", "tied"])
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("k", [1, 2, 5, 16])
+def test_c_solves_as_ref_does(k, n, weights):
+    _assert_solves_as_ref(*_instances(k, n, weights, seed=100 * k + n))
+
+
+@needs_cc
+def test_c_solves_as_ref_does_past_16_users():
+    # One 40 mW row at K=64, N=8: the kernel keeps L_k^{-1} h_m for every
+    # m <= k, K (K + 1) N / 2 complex values, far past the sizes above.
+    h, dw, budget = _instances(64, 8, "descending", seed=6408)
+    row = np.flatnonzero(budget == 40.0)[:1]
+    _assert_solves_as_ref(h[row], dw[row], budget[row])
 
 
 @needs_cc

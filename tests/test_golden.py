@@ -13,7 +13,10 @@ the objective (and the weighted throughput it equals) and the KKT
 residual moved in their last digits.  sim_stock_t10000.csv, the full
 stock sweep, was written by the sweep that pooled solves across pieces,
 just before each draw block came to be solved in one call; it pins the
-regime of 1024-trial blocks that no smaller case reaches.  A change that
+regime of 1024-trial blocks that no smaller case reaches.
+sim_k16n8_t20.csv (16 users with 8 antennas, weights 1, 0.95, ..., 0.25)
+was written just before the Hessian came to be built on the free face
+only; it pins the solves past the stock K=5, N=3.  A change that
 moves any byte here changes what users get from the same config and seed.
 Never regenerate a file to make this test pass: find out why the bytes
 moved.  The numpy backend, which runs where kernel.c cannot be built,
@@ -44,6 +47,13 @@ CASES = {
         "--trials", "50",
     ],
     "sim_maxiter1_t20": ["simulate", "--set", "solver.max_iter=1", "--trials", "20"],
+    "sim_k16n8_t20": [
+        "simulate",
+        "--set", "ue.count=16",
+        "--set", "ue.antennas=8",
+        "--set", "ue.weights=" + ",".join(f"{1 - 0.05 * i:g}" for i in range(16)),
+        "--trials", "20",
+    ],
     "single_default": ["single"],
 }
 
@@ -55,7 +65,9 @@ def test_output_matches_golden(name, tmp_path, capsys):
 
 # single_default.json is left out: its allocation and objective were
 # written by the C kernel, whose last digits differ from _ref's.
-@pytest.mark.parametrize("name", ["sim_pmax3_t300", "sim_frozen_indep_t50", "sim_maxiter1_t20"])
+@pytest.mark.parametrize(
+    "name", ["sim_pmax3_t300", "sim_frozen_indep_t50", "sim_maxiter1_t20", "sim_k16n8_t20"]
+)
 def test_python_backend_matches_golden(name, monkeypatch, tmp_path, capsys):
     # Without a working compiler neither C library builds: the sweep solves
     # with _ref and draws each trial through channel.trial_rng.

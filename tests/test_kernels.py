@@ -1,8 +1,9 @@
-"""The evaluation's forward substitution.
+"""The evaluation's forward substitution and the face Hessian built from it.
 
 The substitution is checked by its backward error, not against an LU
 solve: LU pivots, so the two answers may differ by up to cond(L) * eps
-while both are as accurate as the data allow.
+while both are as accurate as the data allow.  The face Hessian is
+checked bit for bit against the block of the full Hessian it replaces.
 """
 
 import numpy as np
@@ -45,3 +46,36 @@ def test_forward_substitution_has_a_small_backward_error(k, n):
         norm_x = np.abs(x).max(axis=-2)
         assert np.all(np.isfinite(norm_x)) and np.all(norm_x > 0.0)
         assert np.all(lhs <= 2.0 * n * EPS * norm_l[:, None] * norm_x)
+
+
+def _full_hessian(z, dw, sigma2):
+    """-sum_{k >= max(m, n), dw[k] != 0} dw[k] |<z_km, z_kn>|^2 / sigma2^2 for every
+    (m, n), in k order from -0.0, as each evaluation built it for all users
+    before the Hessian came to be built on the face."""
+    gram = np.matmul(z.conj().transpose(0, 2, 1), z)
+    counts = np.tril(np.ones((dw.size, dw.size), dtype=bool)) & (dw != 0.0)[:, None]
+    weight = (-dw / sigma2 / sigma2)[:, None, None]
+    terms = np.where(
+        counts[:, :, None] & counts[:, None, :],
+        (np.square(gram.real) + np.square(gram.imag)) * weight,
+        -0.0,
+    )
+    return np.add.reduce(terms, axis=0, initial=-0.0)
+
+
+@pytest.mark.parametrize("k", [1, 5, 16])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_face_hessian_is_the_face_block_of_the_full_hessian(k, n):
+    h, dw, p = _instances(k, n, 4, seed=20 * k + n)
+    dw[1, :-1] = 0.0  # all weights tied
+    dw[2, 1::2] = 0.0  # weights tied in pairs
+    rng = np.random.default_rng(k + n)
+    for b in range(len(dw)):
+        _, _, z = _ref.evaluate(h[b], dw[b], p[b], SIGMA2)
+        full = _full_hessian(z, dw[b], SIGMA2)
+        faces = [np.ones(k, dtype=bool), np.arange(k) == k - 1, rng.random(k) < 0.5]
+        for face in faces:
+            hess = _ref.face_hessian(z, dw[b], SIGMA2, face)
+            on = face[:, None] & face[None, :]
+            assert hess[on].tobytes() == full[on].tobytes()
+            assert np.all(hess[~on] == 0.0) and np.all(np.signbit(hess[~on]))
