@@ -12,14 +12,12 @@ the brute-force references the tests lean on.
 """
 
 from ._kernels import BACKEND
-from .beamform import input_power, mrt, mrt_set
+from .beamform import input_power, mrt_set
 from .channel import (
     ChannelRealization,
     Topology,
     draw_channel,
     draw_topology,
-    link_distance,
-    pathloss_gain,
     topology_rng,
     trial_rng,
 )
@@ -56,13 +54,10 @@ __all__ = [
     "dual_weighted_rate",
     "harvest",
     "input_power",
-    "link_distance",
     "max_harvest",
-    "mrt",
     "mrt_set",
     "objective_gradient",
     "optimal_permutation",
-    "pathloss_gain",
     "run_emwt",
     "solve_power_allocation",
     "topology_rng",

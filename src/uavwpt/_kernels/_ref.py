@@ -43,7 +43,12 @@ def factors(h, p, sigma2):
 
 
 def logdets(chol):
-    """logdet(A_k) = 2 sum_i log L_k[i, i] from the factors of :func:`factors`, (K,)."""
+    """logdet(A_k) = 2 sum_i log L_k[i, i] from the factors of :func:`factors`, (K,).
+
+    np.add.reduce sums the N logs in index order only for N <= 7; from N = 8
+    on it sums pairwise, in eight accumulators, where kernel.c adds in index
+    order, so the two round differently there.
+    """
     return 2.0 * np.add.reduce(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
 
 

@@ -10,9 +10,11 @@
  * over {p >= 0, sum p <= budget[b]}.  h is (B, K, N) complex128 read as
  * float64 (re, im) pairs, dw and p are (B, K), everything C-contiguous.
  * Rows are solved one after another and never mix, so a row's result does
- * not depend on what else is in the batch.  Sums run in index order, as
- * numpy's reductions over these short axes do; the BLAS and LAPACK calls
- * of _ref (Cholesky, Gram products, the face solve, dot products) may round
+ * not depend on what else is in the batch.  Sums run in index order.
+ * numpy's sums along a contiguous axis, such as the N logs of _ref's
+ * logdets, add in index order only up to seven terms and pairwise, in eight
+ * accumulators, from eight on; those sums and the BLAS and LAPACK calls of
+ * _ref (Cholesky, Gram products, the face solve, dot products) may round
  * differently, so results agree with _ref to rounding, not bit for bit.
  *
  * An evaluation gives the value and the gradient and leaves L_k^{-1} h_m for

@@ -10,28 +10,13 @@ output is monotone in that input, so no other uplink design is needed.
 import numpy as np
 
 
-class ZeroChannelError(ValueError):
-    """MRT direction is undefined for an all-zero channel vector."""
-
-
-def mrt(h: np.ndarray, p_max: float) -> np.ndarray:
-    """Maximal-ratio transmit vector sqrt(p_max) * h / ||h||."""
-    if p_max < 0:
-        raise ValueError("power cap must be nonnegative")
-    h = np.asarray(h, dtype=complex)
-    norm = np.linalg.norm(h)
-    if norm == 0:
-        raise ZeroChannelError("cannot form an MRT beam on a zero channel vector")
-    return np.sqrt(p_max) * h / norm
-
-
 def mrt_set(channels, p_max) -> np.ndarray:
-    """Full-power MRT beamformers for every UE, shape (K, N): row k is mrt(h_k, p_max_k).
+    """Full-power MRT beamformers for every UE, shape (K, N).
 
-    A UE whose channel vector is exactly zero (impossible under the fading
-    model, reachable in synthetic tests) gets a zero beam instead of an error.
-    The norms are summed as np.linalg.norm sums them, so every row is
-    bitwise what mrt gives.
+    Row k is sqrt(p_max_k) * h_k / ||h_k||.  A UE whose channel vector is
+    exactly zero (impossible under the fading model, reachable in synthetic
+    tests) gets a zero beam.  The norms are summed as np.linalg.norm sums
+    them, so every row is bitwise that expression with np.linalg.norm.
     """
     caps = np.broadcast_to(np.asarray(p_max, dtype=float), (channels.n_ues,))
     if np.any(caps < 0):

@@ -68,22 +68,6 @@ def topology_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def link_distance(height: float, horizontal: float) -> float:
-    """3D distance (m) between the hovering base station and a ground UE."""
-    if height <= 0:
-        raise ValueError("height must be positive")
-    if horizontal < 0:
-        raise ValueError("horizontal distance must be nonnegative")
-    return float(np.hypot(height, horizontal))
-
-
-def pathloss_gain(d: float, alpha: float) -> float:
-    """Linear power gain d^-alpha of a link of length d meters."""
-    if d <= 0:
-        raise ValueError("link distance must be positive")
-    return float(d**-alpha)
-
-
 @dataclass(frozen=True)
 class Topology:
     """Placement of the UEs relative to the hovering base station."""

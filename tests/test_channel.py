@@ -15,36 +15,12 @@ from uavwpt.channel import (
     Topology,
     draw_channel,
     draw_topology,
-    link_distance,
-    pathloss_gain,
     rician_channels,
     topology_rng,
     trial_rng,
 )
 
 LINK_50_15 = 52.20153254455275  # sqrt(50^2 + 15^2) via stdlib math
-GAIN_50_15 = 5.079159682610416e-05  # LINK_50_15 ** -2.5
-
-
-def test_link_distance_values():
-    assert link_distance(50.0, 0.0) == 50.0
-    assert link_distance(3.0, 4.0) == pytest.approx(5.0, rel=1e-15)
-    assert link_distance(50.0, 15.0) == pytest.approx(LINK_50_15, rel=1e-15)
-
-
-def test_link_distance_validation():
-    with pytest.raises(ValueError):
-        link_distance(0.0, 5.0)
-    with pytest.raises(ValueError):
-        link_distance(50.0, -1.0)
-
-
-def test_pathloss_gain_values():
-    assert pathloss_gain(1.0, 2.5) == 1.0
-    assert pathloss_gain(LINK_50_15, 2.5) == pytest.approx(GAIN_50_15, rel=1e-14)
-    assert pathloss_gain(7.3, 0.0) == 1.0
-    with pytest.raises(ValueError):
-        pathloss_gain(0.0, 2.5)
 
 
 def test_topology_validation_and_distances():

@@ -11,6 +11,7 @@ from uavwpt.rate import (
     optimal_permutation,
     weight_decrements,
 )
+from uavwpt.solver import solve_power_allocation
 
 SIGMA2 = 0.001
 
@@ -95,6 +96,35 @@ def test_single_user_closed_form():
     p = 42.0
     res = dpc_weighted_rate([p], channels, [0.7], [0], SIGMA2)
     assert res.value == pytest.approx(0.7 * np.log1p(p * gain / SIGMA2), rel=1e-12)
+
+
+def test_single_antenna_is_the_degraded_broadcast():
+    # At N=1, logdet A_k = log1p(sum_{n<=k} p_n |h_n|^2 / sigma2): the rates
+    # of the degraded single-antenna broadcast channel (Tse, ISIT 1997).
+    # Total SNRs stay within 1e-2..1e6; below 1e-2 the pivot logs start to
+    # lose relative precision.
+    rng = np.random.default_rng(1997)
+    for _ in range(200):
+        k = int(rng.integers(1, 7))
+        phases = np.exp(2j * np.pi * rng.uniform(size=k))
+        channels = ChannelRealization((phases * np.sqrt(rng.uniform(0.5, 1.0, size=k)))[:, None])
+        snr = np.abs(channels.h[:, 0]) ** 2 / SIGMA2
+        weights = rng.uniform(0.05, 1.0, size=k)
+        perm = optimal_permutation(weights)
+        dw = weight_decrements(weights, perm)
+
+        def broadcast(p):
+            return float(dw @ np.log1p(np.cumsum(p[perm] * snr[perm])))
+
+        total = 10.0 ** rng.uniform(-2.0, np.log10(5e5))
+        p = rng.dirichlet(np.ones(k))
+        p *= total / (p @ snr)
+        value = dual_weighted_rate(p, channels, weights, perm, SIGMA2).value
+        assert value == pytest.approx(broadcast(p), rel=1e-12, abs=0.0)
+        # The whole budget is spent, so the solve's total SNR is total..2*total.
+        report = solve_power_allocation(channels, weights, perm, SIGMA2, total / snr.min())
+        assert report.converged
+        assert report.objective == pytest.approx(broadcast(report.p), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("k, n", [(0, 2), (2, 2), (3, 5), (5, 8)])
