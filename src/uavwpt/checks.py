@@ -79,7 +79,9 @@ def check_grid_oracle(cfg, seed, instances):
     """Solver beats (or ties) an exhaustive lattice over the simplex.
 
     Five of every seven instances have K=2 and the other two K=3, each on
-    its own lattice of _LATTICE_RESOLUTION points per axis.
+    its own lattice of _LATTICE_RESOLUTION points per axis.  The KKT bound,
+    1e-6, is solve_power_allocation's own default kkt_tol, so it flags only
+    a solve that did not converge; the lattice is the independent reference.
     """
     worst = 0.0
     worst_kkt = 0.0
@@ -134,8 +136,12 @@ def check_gradient_fd(cfg, seed, instances):
 
 
 def check_mrt_dominance(cfg, seed, instances):
-    """Full-power MRT collects at least as much RF power as any beam set."""
+    """Full-power MRT collects at least as much RF power as any beam set.
+
+    Passes when no beam set beats MRT by more than 1e-12 of MRT's power.
+    """
     margin = np.inf
+    ok = True
     for i in range(instances):
         rng = trial_rng(seed, cell=5, trial=i)
         k_ues = int(rng.integers(1, 6))
@@ -148,8 +154,10 @@ def check_mrt_dominance(cfg, seed, instances):
         scale = np.sqrt(caps * rng.uniform(0.0, 1.0, size=shape[:2]))
         beam_sets = raw / np.linalg.norm(raw, axis=-1, keepdims=True) * scale[..., None]
         for beams in beam_sets:
-            margin = min(margin, best - input_power(channels, beams))
-    return margin >= -1e-9, (
+            gap = best - input_power(channels, beams)
+            margin = min(margin, gap)
+            ok = ok and gap >= -1e-12 * best
+    return ok, (
         f"min MRT margin {margin:.3e} mW over {instances}x{_BEAM_SETS} beam sets"
     )
 

@@ -9,8 +9,9 @@ Three subcommands:
 Reproducibility contract: (config, seed) determines every output byte.  Each
 trial of a sweep gets its own random stream derived from (seed, cell index,
 trial index) where cells enumerate the (p_cir, c) grid row-major in config
-order; `single` uses the (0, 0) stream.  Aggregation relies on NumPy's
-pairwise summation, so per-cell statistics do not depend on trial order.
+order; `single` uses the (0, 0) stream.  Each cell is aggregated from its
+own contiguous row of results with NumPy's pairwise summation, so its
+statistics do not depend on how the sweep groups trials into blocks.
 """
 
 import argparse
@@ -143,30 +144,10 @@ def _draw_trial(cfg, rng, frozen_topology):
     return topo, channels, downlink
 
 
-# The most trials drawn, harvested and solved together; it bounds the
-# memory of a sweep, whatever sweep.trials is.
+# The most trials drawn, harvested and solved together, which bounds the
+# memory of a block's channels and solve.  A group's results still take
+# O(cells x trials) memory, so a cell's take O(sweep.trials).
 _CHUNK_TRIALS = 1024
-
-
-def _blocks(n_cells, trials):
-    """The sweep's draw blocks, in sweep order, as lists of (cell, start, stop).
-
-    Each (cell, start, stop) is a piece: trials start..stop-1 of one cell,
-    with start a multiple of _CHUNK_TRIALS and at most _CHUNK_TRIALS trials.
-    A block joins consecutive whole pieces, across cells, up to
-    _CHUNK_TRIALS trials in all, so it covers one run of the cell-major
-    (cell, trial) index: many small cells, or one piece of a large cell.
-    """
-    block, size = [], 0
-    for cell in range(n_cells):
-        for start in range(0, trials, _CHUNK_TRIALS):
-            stop = min(start + _CHUNK_TRIALS, trials)
-            if size + stop - start > _CHUNK_TRIALS:
-                yield block
-                block, size = [], 0
-            block.append((cell, start, stop))
-            size += stop - start
-    yield block
 
 
 def _draw_chunk(cfg, seed, cells, trials, frozen_topology):
@@ -211,31 +192,31 @@ def _draw_chunk(cfg, seed, cells, trials, frozen_topology):
     return channels[0], channels[-1]  # one array unless cfg.independent_dl
 
 
-def run_cell(p_cir, c, throughputs, budgets, converged):
-    """A cell's (SweepRow, nonconverged count) from its trials' results.
+def run_cell(throughputs, budgets, converged):
+    """A cell's (four statistics, nonconverged count) from its trials' results.
 
-    The statistics are the bits np.mean and np.std(ddof=1) give, computed
-    as they compute them: a pairwise np.add.reduce, then one division (the
-    standard deviation sums the squared deviations from that mean and
-    divides by trials - 1), without their per-call overhead.
+    The statistics are mean throughput, its 95 % CI half-width, mean budget
+    and the infeasible fraction, in SweepRow's order.  They are the bits
+    np.mean and np.std(ddof=1) give, computed as they compute them: a
+    pairwise np.add.reduce, then one division (the standard deviation sums
+    the squared deviations from that mean and divides by trials - 1),
+    without their per-call overhead.
     """
     trials = throughputs.size
     mean = np.add.reduce(throughputs) / trials
     if trials > 1:
         deviation = throughputs - mean
         variance = np.add.reduce(np.multiply(deviation, deviation, out=deviation)) / (trials - 1)
-        ci95 = float(1.96 * math.sqrt(variance) / math.sqrt(trials))
+        ci95 = 1.96 * math.sqrt(variance) / math.sqrt(trials)
     else:
         ci95 = 0.0
-    row = SweepRow(
-        p_cir=p_cir,
-        c=c,
-        mean_throughput=float(mean),
-        ci95_halfwidth=ci95,
-        mean_budget=float(np.add.reduce(budgets) / trials),
-        fraction_infeasible=float(np.count_nonzero(budgets == 0.0) / trials),
+    stats = (
+        mean,
+        ci95,
+        np.add.reduce(budgets) / trials,
+        np.count_nonzero(budgets == 0.0) / trials,
     )
-    return row, int(np.count_nonzero(~converged))
+    return stats, int(np.count_nonzero(~converged))
 
 
 def run_sweep(cfg, spec: SweepSpec = None, bits=False):
@@ -246,20 +227,21 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
     draw (from the reserved stream) is shared by every cell and trial;
     fading is always redrawn.
 
-    The trials are drawn in blocks of the cell-major (cell, trial) index
-    that may span cells (_blocks).  Each trial still draws from its own
-    stream, one after another, but only the generator calls stay per trial:
-    the variates go into block arrays and the block's channels are built in
-    one pass (_draw_chunk).  The uplink harvest then runs on the whole
-    block.  Full-power MRT delivers |h_k^H w_k|^2 = p_max_k ||h_k||^2, so
-    the harvester input is computed in closed form without building beams,
-    and each row gets its cell's c and P_cir.  A zero-budget trial is
-    optimal at p = 0 with throughput 0 and never reaches the solver; the
-    block's other trials go to one solve_batch call, whose rows are solved
-    independently.  A cell's row is built by run_cell right after the block
-    that holds its last piece, so a sweep of large cells keeps one cell's
-    trials at a time.  Every trial's result is bitwise what the per-trial
-    draw and solve give.
+    The grid is walked in groups of max(1, _CHUNK_TRIALS // trials)
+    consecutive cells, and each group's cell-major (cell, trial) index in
+    blocks of up to _CHUNK_TRIALS trials.  Each trial still draws from its
+    own stream, but only the generator calls stay per trial: the variates
+    go into block arrays and the block's channels are built in one pass
+    (_draw_chunk).  The uplink harvest then runs on the whole block.
+    Full-power MRT delivers |h_k^H w_k|^2 = p_max_k ||h_k||^2, so the
+    harvester input is computed in closed form without building beams, and
+    each row gets its cell's c and P_cir.  A zero-budget trial is optimal at
+    p = 0 with throughput 0 and never reaches the solver; the block's other
+    trials go to one solve_batch call, whose rows are solved independently.
+    Each block's results fill its slice of the group's (cells, trials)
+    arrays, and run_cell aggregates each row once the group's last block is
+    solved.  Every trial's result is bitwise what the per-trial draw and
+    solve give.
     """
     if spec is None:
         spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, cfg.trials, cfg.seed)
@@ -275,58 +257,47 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
         EhParams(shared.eh.a, shared.eh.b, c)
     p_cir_of = np.array([p_cir for p_cir, _ in grid], dtype=float)
     c_of = np.array([c for _, c in grid], dtype=float)
-    results = []
-    drawn = {}  # cell -> (throughputs, budgets, converged) until its row is built
-    for block in _blocks(len(grid), spec.trials):
-        (first_cell, lo, _), (last_cell, _, hi) = block[0], block[-1]
-        flat = np.arange(first_cell * spec.trials + lo, last_cell * spec.trials + hi)
-        row_cell, row_trial = np.divmod(flat, spec.trials)
-        uplink, downlink = _draw_chunk(cfg, spec.seed, row_cell, row_trial, frozen)
-        budget = compute_budget(
-            max_harvest(shared.eh, shared.p_max, uplink, c_of[row_cell]),
-            shared.amp_efficiency,
-            p_cir_of[row_cell],
-        )
-        throughput = np.zeros(budget.size)
-        converged = np.ones(budget.size, dtype=bool)
-        solved = np.flatnonzero(budget > 0.0)
-        if solved.size:
-            _, objective, _, _, ok = solve_batch(
-                downlink[solved],
-                cfg.weights,
-                cfg.noise_power,
-                budget[solved],
-                tol=cfg.solver_tol,
-                max_iter=cfg.solver_max_iter,
+    stats = np.empty((len(grid), 4))
+    warnings = []
+    group = max(1, _CHUNK_TRIALS // spec.trials)
+    for first in range(0, len(grid), group):
+        shape = (min(group, len(grid) - first), spec.trials)
+        throughput = np.zeros(shape)
+        budget = np.empty(shape)
+        converged = np.ones(shape, dtype=bool)
+        for lo in range(0, budget.size, _CHUNK_TRIALS):
+            rows = np.arange(lo, min(lo + _CHUNK_TRIALS, budget.size))
+            row_cell, row_trial = np.divmod(rows, spec.trials)
+            row_cell += first
+            uplink, downlink = _draw_chunk(cfg, spec.seed, row_cell, row_trial, frozen)
+            block = compute_budget(
+                max_harvest(shared.eh, shared.p_max, uplink, c_of[row_cell]),
+                shared.amp_efficiency,
+                p_cir_of[row_cell],
             )
-            throughput[solved] = objective
-            converged[solved] = ok
-        at = 0
-        for cell, start, stop in block:
-            if start == 0:
-                drawn[cell] = (
-                    np.empty(spec.trials),
-                    np.empty(spec.trials),
-                    np.empty(spec.trials, dtype=bool),
+            budget.flat[rows] = block
+            solved = np.flatnonzero(block > 0.0)
+            if solved.size:
+                _, objective, _, _, ok = solve_batch(
+                    downlink[solved],
+                    cfg.weights,
+                    cfg.noise_power,
+                    block[solved],
+                    tol=cfg.solver_tol,
+                    max_iter=cfg.solver_max_iter,
                 )
-            for out, part in zip(drawn[cell], (throughput, budget, converged)):
-                out[start:stop] = part[at : at + stop - start]
-            at += stop - start
-            if stop == spec.trials:
-                results.append(run_cell(*grid[cell], *drawn.pop(cell)))
-    stats = np.empty((len(results), 4))
-    for i, (row, _) in enumerate(results):
-        stats[i] = (
-            row.mean_throughput, row.ci95_halfwidth, row.mean_budget, row.fraction_infeasible
-        )
+                throughput.flat[rows[solved]] = objective
+                converged.flat[rows[solved]] = ok
+        for cell, results in enumerate(zip(throughput, budget, converged), first):
+            stats[cell], nonconverged = run_cell(*results)
+            if nonconverged:
+                p_cir, c = grid[cell]
+                warnings.append(
+                    f"cell p_cir={p_cir:g} c={c:g}: {nonconverged} of {spec.trials} "
+                    "trials did not converge"
+                )
     if bits:
         stats[:, :2] /= _LN2
-    warnings = [
-        f"cell p_cir={p_cir:g} c={c:g}: {nonconverged} of {spec.trials} "
-        "trials did not converge"
-        for (p_cir, c), (_, nonconverged) in zip(grid, results)
-        if nonconverged
-    ]
     return SweepRows(spec, stats), warnings
 
 

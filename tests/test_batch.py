@@ -335,12 +335,8 @@ def _solved_sweep(monkeypatch, cfg, spec):
     return format_csv(rows), warnings, calls
 
 
-def _block_budgets(cfg, spec):
-    """The budgeted rows (budget > 0) of each of the sweep's blocks, in sweep order.
-
-    Each cell's budgets come from its own draw and its own SystemConfig,
-    not from the sweep's blocks.
-    """
+def _cell_budgets(cfg, spec):
+    """Each cell's budgets, from its own draw and its own SystemConfig, not the sweep's."""
     frozen = cli._frozen_topology(cfg, spec.seed)
     trials = np.arange(spec.trials)
     budgets = []
@@ -354,10 +350,22 @@ def _block_budgets(cfg, spec):
                 sys_cfg.circuit_power,
             )
         )
+    return budgets
+
+
+def _block_budgets(cfg, spec):
+    """The budgeted rows (budget > 0) of each of the sweep's blocks, in sweep order.
+
+    The sweep takes the cells in groups of max(1, _CHUNK_TRIALS // trials)
+    and each group's cell-major rows in blocks of up to _CHUNK_TRIALS.
+    """
+    rows = np.concatenate(_cell_budgets(cfg, spec))
+    group = max(1, cli._CHUNK_TRIALS // spec.trials) * spec.trials
     out = []
-    for block in cli._blocks(len(spec.cells), spec.trials):
-        rows = np.concatenate([budgets[cell][start:stop] for cell, start, stop in block])
-        out.append(rows[rows > 0.0])
+    for first in range(0, rows.size, group):
+        for lo in range(first, min(first + group, rows.size), cli._CHUNK_TRIALS):
+            block = rows[lo : min(lo + cli._CHUNK_TRIALS, first + group)]
+            out.append(block[block > 0.0])
     return out
 
 
@@ -371,7 +379,7 @@ def _joined(calls):
         ((), 1, 1024),
         ((), 3, 1024),
         ((), 10, 1024),
-        ((), 10, 4),  # cells of three pieces, one block each
+        ((), 10, 4),  # groups of one cell, in three blocks each
         (("ue.p_max=3",), 30, 1024),  # mixed infeasible cells
         (("topology.frozen=true", "channel.independent_dl=true"), 10, 1024),
         (_WIDE, 2, 1024),
@@ -437,7 +445,7 @@ def test_stock_round_draws_once_and_solves_as_blocks_of_one_cell(monkeypatch):
 @pytest.mark.parametrize(
     "trials,chunk,order",
     [
-        # A cell of three pieces is solved block by block, then built.
+        # A one-cell group of three blocks is solved block by block, then built.
         (10, 4, ["solve", "solve", "solve", "cell"] * 18),
         # Two 3-trial cells share each block and are built after its solve.
         (3, 7, ["solve", "cell", "cell"] * 9),
@@ -447,27 +455,50 @@ def test_each_cell_is_built_right_after_its_last_block(monkeypatch, trials, chun
     cfg = load_config()
     spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, trials, 17)
     events = []
-
     built = []
 
     def solving(*args, **kwargs):
         events.append("solve")
         return solve_batch(*args, **kwargs)
 
-    def building(p_cir, c, *results, _real=cli.run_cell):
+    def building(throughputs, budgets, converged, _real=cli.run_cell):
         events.append("cell")
-        built.append((p_cir, c))
-        return _real(p_cir, c, *results)
+        built.append(budgets.tobytes())
+        return _real(throughputs, budgets, converged)
 
     monkeypatch.setattr(cli, "_CHUNK_TRIALS", chunk)
     monkeypatch.setattr(cli, "solve_batch", solving)
     monkeypatch.setattr(cli, "run_cell", building)
     rows, warnings = run_sweep(cfg, spec)
     assert events == order
-    assert built == spec.cells
     monkeypatch.undo()
+    # The cells are built in grid order, each from its own trials.
+    assert built == [b.tobytes() for b in _cell_budgets(cfg, spec)]
     want_rows, want_warnings = run_sweep(cfg, spec)
     assert format_csv(rows) == format_csv(want_rows) and warnings == want_warnings
+
+
+@pytest.mark.parametrize(
+    "overrides,trials,sizes",
+    [
+        ((), 10, [180]),  # a stock round: 18 cells in one block
+        (("ue.p_max=3",), 80, [960, 480]),  # groups of 12 cells, then the other 6
+        (_WIDE, 2, [36]),
+        (("sweep.p_cir=40",), 2500, [1024, 1024, 452] * 2),  # two cells of three blocks
+    ],
+)
+def test_draw_block_sizes(monkeypatch, overrides, trials, sizes):
+    cfg = load_config(overrides=overrides)
+    spec = SweepSpec(cfg.sweep_p_cir, cfg.sweep_c, trials, 13)
+    drawn = []
+
+    def recording(cfg, seed, cells, trials, frozen, _real=cli._draw_chunk):
+        drawn.append(cells.size)
+        return _real(cfg, seed, cells, trials, frozen)
+
+    monkeypatch.setattr(cli, "_draw_chunk", recording)
+    run_sweep(cfg, spec)
+    assert drawn == sizes
 
 
 def test_all_infeasible_sweep_makes_no_kernel_call(monkeypatch):
