@@ -7,11 +7,12 @@ Draws seeded random downlink instances at K=5, N=3 (``n_solves`` of them,
 ``uavwpt._kernels._ref`` (before) and the compiled ``uavwpt._kernels``
 (after): one ``solve_pga`` call per instance ("lone"), then all of them in
 one ``solve_pga_batch`` call ("batch"), as sweeps do.  Each timing is
-repeated REPEATS times; the table gives the median and quartiles of the
-wall time per solve, the speedup of the medians, solver iterations (p50,
-p99, max) and the largest objective gap between the two kernels.  It warns
-when a gap exceeds 1e-12 relative, when a batch row differs from its lone
-solve, or when a solve did not converge.
+repeated REPEATS times, the two sides taking turns (before, after, before,
+...) so that a change in host load falls on both.  The table gives each
+side's median and quartiles of the wall time per solve, the speedup of the
+medians, solver iterations (p50, p99, max) and the largest objective gap
+between the two kernels.  It warns when a gap exceeds 1e-12 relative, when
+a batch row differs from its lone solve, or when a solve did not converge.
 
 ``--json PATH`` also writes the results with the machine (CPU, cores,
 Python, numpy, compiler) and the commit.  ``_ref`` solves one row at a
@@ -73,14 +74,20 @@ def batch(kernel, instances):
     return [f, iterations, converged]
 
 
-def timed(run, kernel, instances):
-    """(us per solve of each repeat, the last repeat's results)."""
-    times = []
+def timed(run, kernels, instances):
+    """Per kernel, (us per solve of each repeat, the last repeat's results).
+
+    The kernels take turns within each repeat (before, after, before, ...),
+    so a change in host load falls on both sides alike.
+    """
+    times = [[] for _ in kernels]
+    results = [None] * len(kernels)
     for _ in range(REPEATS):
-        start = time.perf_counter()
-        results = run(kernel, instances)
-        times.append((time.perf_counter() - start) / len(instances) * 1e6)
-    return times, results
+        for side, kernel in enumerate(kernels):
+            start = time.perf_counter()
+            results[side] = run(kernel, instances)
+            times[side].append((time.perf_counter() - start) / len(instances) * 1e6)
+    return list(zip(times, results))
 
 
 def summary(times):
@@ -88,17 +95,22 @@ def summary(times):
     return {"median": median, "quartiles": [q1, q3]}
 
 
+def shown(side):
+    q1, q3 = side["quartiles"]
+    return f"{side['median']:.1f} [{q1:.1f}, {q3:.1f}]"
+
+
 def measure(count):
     """One record per (K, N, mode), printed as a table row as it is measured."""
     records = []
-    print(f"{'K':>3} {'N':>2} {'mode':>5} {'solves':>6} {'_ref us':>9} {'C us':>8} "
-          f"{'speedup':>8}  iterations p50/p99/max  max rel gap")
+    print(f"{'K':>3} {'N':>2} {'mode':>5} {'solves':>6} {'_ref us [q1, q3]':>25} "
+          f"{'C us [q1, q3]':>22} {'speedup':>8}  iterations p50/p99/max  max rel gap")
     for k_ues, n_antennas, divisor in SHAPES:
         instances = make_instances(max(1, count // divisor), k_ues, n_antennas)
         rows = {}
         for mode, run in (("lone", lone), ("batch", batch)):
-            before, (f_ref, _, conv_ref) = timed(run, _ref, instances)
-            after, (f, iterations, converged) = timed(run, _kernels, instances)
+            (before, (f_ref, _, conv_ref)), (after, (f, iterations, converged)) = timed(
+                run, (_ref, _kernels), instances)
             rows[mode] = (f, iterations, converged)
             gap = float(np.max(np.abs(f - f_ref) / np.abs(f_ref)))
             p50, p99 = np.percentile(iterations, [50, 99], method="inverted_cdf")
@@ -112,8 +124,8 @@ def measure(count):
                                  / record["after_us_per_solve"]["median"])
             records.append(record)
             print(f"{k_ues:>3} {n_antennas:>2} {mode:>5} {len(instances):>6} "
-                  f"{record['before_us_per_solve']['median']:>9.1f} "
-                  f"{record['after_us_per_solve']['median']:>8.1f} {record['speedup']:>7.1f}x  "
+                  f"{shown(record['before_us_per_solve']):>25} "
+                  f"{shown(record['after_us_per_solve']):>22} {record['speedup']:>7.1f}x  "
                   f"{p50:>10g} / {p99:g} / {iterations.max()}  {gap:>11.1e}")
             if gap > 1e-12:
                 print(f"WARNING: objectives differ from _ref by {gap:.1e} relative")
@@ -169,7 +181,7 @@ def main(argv=None):
             "machine": machine(),
             "before": "uavwpt._kernels._ref (numpy, one row at a time)",
             "after": "uavwpt._kernels (kernel.c through ctypes, row by row)",
-            "unit": "us per solve, wall time, median and quartiles of repeats",
+            "unit": "us per solve, wall time, median and quartiles of alternated repeats",
             "repeats": REPEATS,
             "settings": {"sigma2": SIGMA2, "tol_kkt_tol_max_iter_armijo_shrink": SETTINGS},
             "results": records,

@@ -18,7 +18,8 @@
  * in numpy/random/lib/libnpyrandom.a, which numpy ships for extensions to
  * link.  Only the bitgen_t struct (numpy/random/bitgen.h) and that one
  * prototype are declared here, so no CPython or numpy header is needed.
- * unsigned __int128 is a GCC and Clang extension.
+ * unsigned __int128 is a GCC and Clang extension, marked __extension__ so
+ * that -Wpedantic builds stay clean.
  */
 
 #include <stdint.h>
@@ -33,7 +34,7 @@ typedef struct bitgen {
 
 void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 
-typedef unsigned __int128 u128;
+__extension__ typedef unsigned __int128 u128;
 
 #define POOL_SIZE 4
 #define INIT_A 0x43b0d7e5u

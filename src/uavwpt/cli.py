@@ -17,6 +17,7 @@ statistics do not depend on how the sweep groups trials into blocks.
 import argparse
 import json
 import math
+import numbers
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .channel import (
     topology_rng,
     trial_rng,
 )
-from .config import ConfigError, defaults_text, load_config
+from .config import ConfigError, check_budget_to_noise, check_range, defaults_text, load_config
 from .eh_model import EhParams, max_harvest
 from .emwt import compute_budget, run_emwt
 from .solver import solve_batch
@@ -51,10 +52,14 @@ class SweepSpec:
     seed: int
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if any(v < 0 for v in self.p_cir_values) or any(v < 0 for v in self.c_values):
-            raise ValueError("swept powers must be nonnegative")
+        # The sweep.* keys' bounds: a bad grid stops here, not in NaN or
+        # silent infeasible rows or in a failure mid-sweep.
+        for name, value in (("sweep.trials", self.trials), ("sweep.seed", self.seed)):
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            check_range(name, (value,))
+        check_range("sweep.p_cir", self.p_cir_values)
+        check_range("sweep.c", self.c_values)
 
     @property
     def cells(self):
@@ -248,13 +253,9 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
     frozen = _frozen_topology(cfg, spec.seed)
     grid = spec.cells
     # The cells differ only in P_cir and c, which each row takes from its
-    # cell below.  One SystemConfig validates the shared parameters,
-    # SweepSpec has checked that every P_cir is nonnegative, and one
-    # EhParams per distinct c checks that c is positive (the harvester
-    # offset m depends on a and b alone).
-    shared = cfg.system()
-    for c in set(spec.c_values):
-        EhParams(shared.eh.a, shared.eh.b, c)
+    # cell below; load_config and SweepSpec have checked every other value.
+    check_budget_to_noise(cfg, spec.c_values)
+    eh = EhParams(cfg.eh_a, cfg.eh_b, cfg.eh_c)  # c comes from each row's cell
     p_cir_of = np.array([p_cir for p_cir, _ in grid], dtype=float)
     c_of = np.array([c for _, c in grid], dtype=float)
     stats = np.empty((len(grid), 4))
@@ -271,8 +272,8 @@ def run_sweep(cfg, spec: SweepSpec = None, bits=False):
             row_cell += first
             uplink, downlink = _draw_chunk(cfg, spec.seed, row_cell, row_trial, frozen)
             block = compute_budget(
-                max_harvest(shared.eh, shared.p_max, uplink, c_of[row_cell]),
-                shared.amp_efficiency,
+                max_harvest(eh, cfg.p_max, uplink, c_of[row_cell]),
+                cfg.amp_efficiency,
                 p_cir_of[row_cell],
             )
             budget.flat[rows] = block

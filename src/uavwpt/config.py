@@ -1,23 +1,8 @@
 """INI-style configuration for the command-line tools.
 
-Sections and keys (all have built-in defaults, shown by ``defaults_text``):
-
-    [eh]        a, b, c                  harvester curve parameters (1/mW, mW, mW)
-    [topology]  height, r_min, r_max,    UAV altitude and the horizontal-distance
-                frozen                   band; frozen=true reuses one topology draw
-                                         for every trial of a sweep
-    [channel]   kappa, alpha,            Rician factor, pathloss exponent, and
-                independent_dl           whether the downlink gets its own draw
-                                         instead of reusing the uplink one
-    [ue]        count, antennas,         fleet shape; p_max and weights accept a
-                p_max, weights           single value (broadcast) or a comma list
-    [system]    noise_power,             receiver noise (mW), amplifier
-                amp_efficiency,          efficiency in (0, 1], circuit power (mW)
-                circuit_power
-    [solver]    tol, max_iter            power-allocation stopping controls
-    [sweep]     p_cir, c, trials, seed   comma lists of circuit powers and
-                                         harvester saturation levels, Monte-Carlo
-                                         trials per cell, base RNG seed
+Every key is one row of ``_KEYS``: its section, name, built-in default,
+AppConfig field, kind and the range its values must lie in.  ``uavwpt
+defaults`` prints the built-in file.
 
 A missing file is fine when ``path`` is None (pure defaults); a named file
 that does not exist or does not parse is a ConfigError carrying a line-level
@@ -26,6 +11,7 @@ are applied after the file.
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,29 +19,47 @@ import numpy as np
 from .eh_model import EhParams
 from .emwt import SystemConfig
 
-_DEFAULTS = {
-    "eh": {"a": "6400", "b": "0.003", "c": "200"},
-    "topology": {"height": "50", "r_min": "10", "r_max": "20", "frozen": "false"},
-    "channel": {"kappa": "2", "alpha": "2.5", "independent_dl": "false"},
-    "ue": {
-        "count": "5",
-        "antennas": "3",
-        "p_max": "200",
-        "weights": "0.3, 0.25, 0.2, 0.15, 0.1",
-    },
-    "system": {
-        "noise_power": "0.001",
-        "amp_efficiency": "0.8",
-        "circuit_power": "40",
-    },
-    "solver": {"tol": "1e-8", "max_iter": "10000"},
-    "sweep": {
-        "p_cir": "40, 45, 50, 55, 60, 65, 70, 75, 80",
-        "c": "100, 200",
-        "trials": "10000",
-        "seed": "12345",
-    },
-}
+# (section, key, default, AppConfig field, kind, lower bound, bound excluded,
+# upper bound or None).  The kind is float, int, bool, tuple (a comma list)
+# or np.ndarray (one value per UE, or a single value for all of them).  A
+# string lower bound names an earlier field.  Every numeric value must be
+# finite and in range, so that bad input stops here with a config error
+# instead of turning into NaN rows, silent infeasible rows or tracebacks.
+_KEYS = (
+    ("eh", "a", "6400", "eh_a", float, 0.0, True, None),  # curvature, 1/mW
+    ("eh", "b", "0.003", "eh_b", float, 0.0, True, None),  # turning point, mW
+    ("eh", "c", "200", "eh_c", float, 0.0, True, None),  # saturation, mW
+    ("topology", "height", "50", "height", float, 0.0, True, None),  # UAV altitude, m
+    ("topology", "r_min", "10", "r_min", float, 0.0, False, None),  # horizontal band, m
+    ("topology", "r_max", "20", "r_max", float, "r_min", False, None),
+    # true: one topology draw for every trial of a sweep
+    ("topology", "frozen", "false", "frozen_topology", bool, None, False, None),
+    ("channel", "kappa", "2", "kappa", float, 0.0, False, None),  # Rician factor
+    ("channel", "alpha", "2.5", "alpha", float, 0.0, True, None),  # pathloss exponent
+    # true: the downlink gets its own draw instead of reusing the uplink one
+    ("channel", "independent_dl", "false", "independent_dl", bool, None, False, None),
+    ("ue", "count", "5", "n_ues", int, 1, False, None),
+    ("ue", "antennas", "3", "n_antennas", int, 1, False, None),
+    ("ue", "p_max", "200", "p_max", np.ndarray, 0.0, False, None),  # uplink caps, mW
+    ("ue", "weights", "0.3, 0.25, 0.2, 0.15, 0.1", "weights", np.ndarray, 0.0, False, None),
+    ("system", "noise_power", "0.001", "noise_power", float, 0.0, True, None),  # mW
+    ("system", "amp_efficiency", "0.8", "amp_efficiency", float, 0.0, True, 1.0),
+    ("system", "circuit_power", "40", "circuit_power", float, 0.0, False, None),  # mW
+    ("solver", "tol", "1e-8", "solver_tol", float, 0.0, False, None),
+    ("solver", "max_iter", "10000", "solver_max_iter", int, 1, False, None),
+    # The swept circuit powers and saturation levels (mW), Monte-Carlo
+    # trials per cell and the base RNG seed.
+    ("sweep", "p_cir", "40, 45, 50, 55, 60, 65, 70, 75, 80", "sweep_p_cir", tuple, 0.0, False,
+     None),
+    ("sweep", "c", "100, 200", "sweep_c", tuple, 0.0, True, None),
+    ("sweep", "trials", "10000", "trials", int, 1, False, None),
+    ("sweep", "seed", "12345", "seed", int, 0, False, None),
+)
+
+_DEFAULTS = {}
+for _row in _KEYS:
+    _DEFAULTS.setdefault(_row[0], {})[_row[1]] = _row[2]
+_BOUNDS = {f"{row[0]}.{row[1]}": row[5:] for row in _KEYS}
 
 
 # The largest downlink budget over the noise power that a config may reach,
@@ -131,21 +135,71 @@ def _fresh_parser() -> configparser.ConfigParser:
     return parser
 
 
-def _float_list(raw: str) -> list:
+def _float_list(raw: str) -> tuple:
     items = [part.strip() for part in raw.split(",") if part.strip()]
     if not items:
         raise ValueError("empty list")
-    return [float(part) for part in items]
+    return tuple(float(part) for part in items)
 
 
-def _vector(raw: str, n_ues: int, what: str) -> np.ndarray:
-    values = _float_list(raw)
+def _parse(parser, section, key, kind, n_ues):
+    """The value of ``section.key`` as ``kind``; an np.ndarray kind is a tuple of n_ues."""
+    raw = parser[section][key]
+    if kind is bool:
+        try:
+            return parser.getboolean(section, key)
+        except ValueError as exc:
+            raise ConfigError(f"boolean config key: {exc}") from exc
+    if kind is float or kind is int:
+        try:
+            return kind(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
+    try:
+        values = _float_list(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad list value in config: {exc}") from exc
+    if kind is tuple or len(values) == n_ues:
+        return values
     if len(values) == 1:
-        return np.full(n_ues, values[0])
-    if len(values) != n_ues:
-        needs = "1 value" if n_ues == 1 else f"1 or {n_ues} comma-separated values"
-        raise ConfigError(f"ue.{what} needs {needs}, got {len(values)}")
-    return np.asarray(values)
+        return values * n_ues
+    needs = "1 value" if n_ues == 1 else f"1 or {n_ues} comma-separated values"
+    raise ConfigError(f"{section}.{key} needs {needs}, got {len(values)}")
+
+
+def _check(name, values, low, open_low, high):
+    """Raise ConfigError unless every one of ``values`` is finite and in the bound."""
+    for v in values:
+        finite = isinstance(v, int) or math.isfinite(v)
+        if not finite or v < low or (open_low and v == low) or (high is not None and v > high):
+            break
+    else:
+        return
+    bound = f"{'>' if open_low else '>='} {low:g}"
+    if high is not None:
+        bound += f" and <= {high:g}"
+    shown = ", ".join(f"{v:g}" for v in values)
+    raise ConfigError(f"{name} must be finite and {bound}, got {shown}")
+
+
+def check_range(name, values):
+    """Raise ConfigError unless every one of ``values`` is in the range of key ``name``."""
+    _check(name, values, *_BOUNDS[name])
+
+
+def check_budget_to_noise(cfg, c_values):
+    """Raise ConfigError unless the largest budget of ``cfg`` swept over ``c_values`` is in range.
+
+    Each value may be in range, yet a huge budget over a tiny noise power
+    overflows or leaves the factorisation without precision.
+    """
+    ratio = cfg.amp_efficiency * max(cfg.eh_c, *c_values) / cfg.noise_power
+    if not ratio <= MAX_BUDGET_TO_NOISE:
+        raise ConfigError(
+            "largest budget over noise, system.amp_efficiency * max(eh.c, sweep.c) / "
+            f"system.noise_power, must be finite and <= {MAX_BUDGET_TO_NOISE:g}, "
+            f"got {ratio:g}"
+        )
 
 
 def apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
@@ -179,99 +233,14 @@ def load_config(path=None, overrides=()) -> AppConfig:
                     raise ConfigError(f"unknown config key {section}.{key}")
     apply_overrides(parser, overrides)
 
-    def number(section, key, kind=float):
-        raw = parser[section][key]
-        try:
-            return kind(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
-
-    try:
-        n_ues = number("ue", "count", int)
-        n_antennas = number("ue", "antennas", int)
-        if n_ues < 1 or n_antennas < 1:
-            raise ConfigError("ue.count and ue.antennas must be at least 1")
-        p_max = _vector(parser["ue"]["p_max"], n_ues, "p_max")
-        weights = _vector(parser["ue"]["weights"], n_ues, "weights")
-        sweep_p_cir = tuple(_float_list(parser["sweep"]["p_cir"]))
-        sweep_c = tuple(_float_list(parser["sweep"]["c"]))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad list value in config: {exc}") from exc
-
-    try:
-        frozen = parser.getboolean("topology", "frozen")
-        independent_dl = parser.getboolean("channel", "independent_dl")
-    except ValueError as exc:
-        raise ConfigError(f"boolean config key: {exc}") from exc
-
-    cfg = AppConfig(
-        eh_a=number("eh", "a"),
-        eh_b=number("eh", "b"),
-        eh_c=number("eh", "c"),
-        height=number("topology", "height"),
-        r_min=number("topology", "r_min"),
-        r_max=number("topology", "r_max"),
-        frozen_topology=frozen,
-        kappa=number("channel", "kappa"),
-        alpha=number("channel", "alpha"),
-        independent_dl=independent_dl,
-        n_ues=n_ues,
-        n_antennas=n_antennas,
-        p_max=p_max,
-        weights=weights,
-        noise_power=number("system", "noise_power"),
-        amp_efficiency=number("system", "amp_efficiency"),
-        circuit_power=number("system", "circuit_power"),
-        solver_tol=number("solver", "tol"),
-        solver_max_iter=number("solver", "max_iter", int),
-        sweep_p_cir=sweep_p_cir,
-        sweep_c=sweep_c,
-        trials=number("sweep", "trials", int),
-        seed=number("sweep", "seed", int),
-    )
-    # (key, value, lower bound, bound excluded, upper bound): every value must
-    # be finite and in range, so that bad input stops here with a config error
-    # instead of turning into NaN rows, silent infeasible rows or tracebacks.
-    for key, value, low, open_low, high in (
-        ("eh.a", cfg.eh_a, 0.0, True, None),
-        ("eh.b", cfg.eh_b, 0.0, True, None),
-        ("eh.c", cfg.eh_c, 0.0, True, None),
-        ("topology.height", cfg.height, 0.0, True, None),
-        ("topology.r_min", cfg.r_min, 0.0, False, None),
-        ("topology.r_max", cfg.r_max, cfg.r_min, False, None),
-        ("channel.kappa", cfg.kappa, 0.0, False, None),
-        ("channel.alpha", cfg.alpha, 0.0, True, None),
-        ("ue.p_max", cfg.p_max, 0.0, False, None),
-        ("ue.weights", cfg.weights, 0.0, False, None),
-        ("system.noise_power", cfg.noise_power, 0.0, True, None),
-        ("system.amp_efficiency", cfg.amp_efficiency, 0.0, True, 1.0),
-        ("system.circuit_power", cfg.circuit_power, 0.0, False, None),
-        ("solver.tol", cfg.solver_tol, 0.0, False, None),
-        ("solver.max_iter", cfg.solver_max_iter, 1, False, None),
-        ("sweep.p_cir", sweep_p_cir, 0.0, False, None),
-        ("sweep.c", sweep_c, 0.0, True, None),
-        ("sweep.trials", cfg.trials, 1, False, None),
-        ("sweep.seed", cfg.seed, 0, False, None),
-    ):
-        values = np.atleast_1d(np.asarray(value, dtype=float))
-        below = values <= low if open_low else values < low
-        if np.all(np.isfinite(values)) and not np.any(below):
-            if high is None or np.all(values <= high):
-                continue
-        bound = f"{'>' if open_low else '>='} {low:g}"
-        if high is not None:
-            bound += f" and <= {high:g}"
-        shown = ", ".join(f"{v:g}" for v in values)
-        raise ConfigError(f"{key} must be finite and {bound}, got {shown}")
-    # Each value is in range, yet a huge budget over a tiny noise power
-    # overflows or leaves the factorisation without precision.
-    ratio = cfg.amp_efficiency * max(cfg.eh_c, *sweep_c) / cfg.noise_power
-    if not ratio <= MAX_BUDGET_TO_NOISE:
-        raise ConfigError(
-            "largest budget over noise, system.amp_efficiency * max(eh.c, sweep.c) / "
-            f"system.noise_power, must be finite and <= {MAX_BUDGET_TO_NOISE:g}, "
-            f"got {ratio:g}"
-        )
+    values = {}
+    for section, key, _, field, kind, low, open_low, high in _KEYS:
+        value = _parse(parser, section, key, kind, values.get("n_ues"))
+        if kind is not bool:
+            low = values[low] if isinstance(low, str) else low
+            _check(f"{section}.{key}", value if type(value) is tuple else (value,),
+                   low, open_low, high)
+        values[field] = np.asarray(value) if kind is np.ndarray else value
+    cfg = AppConfig(**values)
+    check_budget_to_noise(cfg, cfg.sweep_c)
     return cfg

@@ -234,3 +234,32 @@ def test_sweep_rows_index_like_a_list_and_keep_one_array():
     finally:
         tracemalloc.stop()
     assert held / 40 < 1000  # bytes per kept sweep of 6 cells, spec included
+
+
+# Each of these grids once wrote a NaN or silent all-infeasible row, or
+# failed mid-sweep with a traceback; now it stops before any trial runs.
+@pytest.mark.parametrize(
+    "p_cir,c,trials,seed,message",
+    [
+        ((math.nan,), (100.0,), 2, 1, "sweep.p_cir must be finite"),
+        ((40.0,), (math.inf,), 2, 1, "sweep.c must be finite"),
+        ((math.inf,), (100.0,), 2, 1, "sweep.p_cir must be finite"),
+        ((40.0,), (100.0,), 2.5, 1, "sweep.trials must be an integer"),
+        ((40.0,), (100.0,), 2, 1.5, "sweep.seed must be an integer"),
+    ],
+    ids=["nan_p_cir", "inf_c", "inf_p_cir", "fractional_trials", "fractional_seed"],
+)
+def test_sweep_spec_rejects_a_bad_grid(p_cir, c, trials, seed, message):
+    from uavwpt.cli import run_sweep
+    from uavwpt.config import ConfigError
+
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(load_config(), SweepSpec(p_cir, c, trials, seed))
+
+
+def test_run_sweep_applies_the_budget_to_noise_limit_to_the_spec():
+    from uavwpt.cli import run_sweep
+    from uavwpt.config import ConfigError
+
+    with pytest.raises(ConfigError, match="budget over noise"):
+        run_sweep(load_config(), SweepSpec((40.0,), (1e17,), 2, 1))

@@ -1,6 +1,7 @@
 """INI config loading, overrides, and strict-key error reporting."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -230,3 +231,63 @@ def test_budget_to_noise_over_the_limit_exits_2(override, capsys):
                  "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "budget over noise" in err
+
+
+def test_every_field_has_exactly_one_key_row_and_every_default_is_in_range():
+    from uavwpt.config import _KEYS, check_range
+
+    fields = {f.name: f.type for f in dataclasses.fields(AppConfig)}
+    rows = [row[3] for row in _KEYS]
+    assert sorted(rows) == sorted(fields)
+    cfg = load_config()
+    for section, key, _, field, kind, low, open_low, high in _KEYS:
+        assert kind is fields[field], field
+        if kind is bool:
+            continue
+        value = getattr(cfg, field)
+        values = tuple(value) if kind in (tuple, np.ndarray) else (value,)
+        if isinstance(low, str):
+            assert all(v >= getattr(cfg, low) for v in values), field
+        else:
+            check_range(f"{section}.{key}", values)
+
+
+def _past_bounds():
+    """(name, value) pairs: NaN, and a value just past each bound, for every numeric key."""
+    from uavwpt.config import _KEYS
+
+    defaults = load_config()
+    cases = []
+    for section, key, _, field, kind, low, open_low, high in _KEYS:
+        if kind is bool:
+            continue
+        name = f"{section}.{key}"
+        cases.append((name, "nan"))
+        low = getattr(defaults, low) if isinstance(low, str) else low
+        if open_low:
+            cases.append((name, repr(low)))
+        elif kind is int:
+            cases.append((name, str(low - 1)))
+        else:
+            cases.append((name, repr(math.nextafter(low, -math.inf))))
+        if high is not None:
+            cases.append((name, repr(math.nextafter(high, math.inf))))
+    return cases
+
+
+@pytest.mark.parametrize("name,value", _past_bounds())
+def test_nan_and_values_just_past_a_bound_exit_2(name, value, tmp_path, capsys):
+    from uavwpt.cli import main
+
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--set", f"{name}={value}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {name}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["count", "antennas"])
+def test_zero_ues_or_antennas_exit_2(key, capsys):
+    from uavwpt.cli import main
+
+    assert main(["simulate", "--trials", "2", "--set", f"ue.{key}=0"]) == 2
+    assert capsys.readouterr().err == f"config error: ue.{key} must be finite and >= 1, got 0\n"

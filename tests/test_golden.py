@@ -16,7 +16,9 @@ just before each draw block came to be solved in one call; it pins the
 regime of 1024-trial blocks that no smaller case reaches.
 sim_k16n8_t20.csv (16 users with 8 antennas, weights 1, 0.95, ..., 0.25)
 was written just before the Hessian came to be built on the free face
-only; it pins the solves past the stock K=5, N=3.  A change that
+only; it pins the solves past the stock K=5, N=3.  defaults.ini, the
+output of ``uavwpt defaults``, was written just before the config keys
+came to be listed in one table.  A change that
 moves any byte here changes what users get from the same config and seed.
 Never regenerate a file to make this test pass: find out why the bytes
 moved.  The numpy backend, which runs where kernel.c cannot be built,
@@ -84,6 +86,11 @@ def test_python_backend_matches_golden(name, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "draw_variates", _c.load_draw())
     assert cli.draw_variates is None
     _assert_matches_golden(name, tmp_path, capsys)
+
+
+def test_defaults_match_golden(capsys):
+    assert main(["defaults"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "defaults.ini").read_bytes()
 
 
 def _assert_matches_golden(name, tmp_path, capsys):
