@@ -1,9 +1,13 @@
 """Compiled kernels: the power-allocation solve and the sweep's random draw, in C.
 
-Sweeps call ``solve_pga_batch``, which solves many instances in one call;
-``solve_pga`` is its batch of one.  Both run ``kernel.c``, a C99 port of
-:mod:`uavwpt._kernels._ref`, which solves one row at a time, operation for
-operation as ``_ref.solve_pga`` does it.  ``draw_variates`` runs
+``solve_pga_batch`` solves many instances in one call; its one caller in
+the package is ``uavwpt.solver.solve_batch``, which the sweep and the
+one-frame solve share.  ``solve_pga``, its batch of one, has no caller in
+the package: it stays because ``perfbench/spans.py`` traces it by name
+(``tests/test_perfbench_contract.py`` pins that) and
+``benchmarks/bench_kernels.py`` times it.  Both run ``kernel.c``, a C99
+port of :mod:`uavwpt._kernels._ref`, which solves one row at a time,
+operation for operation as ``_ref.solve_pga`` does it.  ``draw_variates`` runs
 ``draw.c``: for each row of a draw block it derives the row's stream as
 ``channel.trial_rng`` does (numpy's SeedSequence hash and PCG64 seeding)
 and draws its uniforms and, through numpy's own ``libnpyrandom.a``, its

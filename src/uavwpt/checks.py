@@ -27,7 +27,7 @@ from .rate import (
     objective_gradient,
     optimal_permutation,
 )
-from .solver import solve_power_allocation
+from .solver import _KKT_TOL, solve_power_allocation
 
 # Lattice points per axis of the solver-vs-grid check, by number of UEs.
 _LATTICE_RESOLUTION = {2: 500, 3: 120}
@@ -79,9 +79,10 @@ def check_grid_oracle(cfg, seed, instances):
     """Solver beats (or ties) an exhaustive lattice over the simplex.
 
     Five of every seven instances have K=2 and the other two K=3, each on
-    its own lattice of _LATTICE_RESOLUTION points per axis.  The KKT bound,
-    1e-6, is solve_power_allocation's own default kkt_tol, so it flags only
-    a solve that did not converge; the lattice is the independent reference.
+    its own lattice of _LATTICE_RESOLUTION points per axis.  The KKT bound
+    is the solver's own stopping tolerance, solver._KKT_TOL, so it flags
+    only a solve that did not converge; the lattice is the independent
+    reference.
     """
     worst = 0.0
     worst_kkt = 0.0
@@ -101,7 +102,7 @@ def check_grid_oracle(cfg, seed, instances):
         gap = (lattice_best - report.objective) / max(abs(lattice_best), 1e-12)
         worst = max(worst, gap)
         worst_kkt = max(worst_kkt, report.kkt_residual)
-    ok = worst <= 1e-4 and worst_kkt <= 1e-6
+    ok = worst <= 1e-4 and worst_kkt <= _KKT_TOL
     return ok, (
         f"max lattice excess {worst:.3e}, max KKT residual {worst_kkt:.3e}, "
         f"{instances} instances"

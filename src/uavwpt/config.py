@@ -52,7 +52,9 @@ _KEYS = (
     ("sweep", "p_cir", "40, 45, 50, 55, 60, 65, 70, 75, 80", "sweep_p_cir", tuple, 0.0, False,
      None),
     ("sweep", "c", "100, 200", "sweep_c", tuple, 0.0, True, None),
-    ("sweep", "trials", "10000", "trials", int, 1, False, None),
+    # A cell holds 17 B per trial (throughput, budget, converged) and
+    # run_cell adds 9 B of temporaries, so the bound costs about 2.6 GB.
+    ("sweep", "trials", "10000", "trials", int, 1, False, 10**8),
     ("sweep", "seed", "12345", "seed", int, 0, False, None),
 )
 
@@ -178,7 +180,7 @@ def _check(name, values, low, open_low, high):
     bound = f"{'>' if open_low else '>='} {low:g}"
     if high is not None:
         bound += f" and <= {high:g}"
-    shown = ", ".join(f"{v:g}" for v in values)
+    shown = ", ".join(str(v) if isinstance(v, int) else f"{v:g}" for v in values)
     raise ConfigError(f"{name} must be finite and {bound}, got {shown}")
 
 

@@ -93,7 +93,6 @@ def run_emwt(
     channels: ChannelRealization,
     downlink: ChannelRealization = None,
     tol: float = 1e-8,
-    kkt_tol: float = 1e-6,
     max_iter: int = 10_000,
 ) -> EmwtResult:
     """Run one frame of the pipeline on a fixed channel realization.
@@ -118,14 +117,7 @@ def run_emwt(
 
     perm = optimal_permutation(cfg.weights)
     report = solve_power_allocation(
-        downlink,
-        cfg.weights,
-        perm,
-        cfg.noise_power,
-        budget,
-        tol=tol,
-        kkt_tol=kkt_tol,
-        max_iter=max_iter,
+        downlink, cfg.weights, perm, cfg.noise_power, budget, tol=tol, max_iter=max_iter
     )
     return EmwtResult(
         beams=beams,

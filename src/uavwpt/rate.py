@@ -18,9 +18,10 @@ permutation sorts the weights in descending order every decrement is
 nonnegative, making the second form a concave function of p; that is the
 objective the power-allocation solver maximizes.
 
-Rates are in nats.  The log-determinants come from the Cholesky factors
-of the explicitly accumulated A_k (``factors`` and ``logdets`` of
-uavwpt._kernels._ref), and the gradient from ``_ref.dual_objective_grad``,
+Rates are in nats.  Both forms evaluate one log-det sequence, from the
+Cholesky factors of the explicitly accumulated A_k (``factors`` and
+``logdets`` of uavwpt._kernels._ref), and differ only in the weights
+they apply to it.  The gradient comes from ``_ref.dual_objective_grad``,
 the evaluation the numpy solver ascends with.
 """
 
@@ -73,32 +74,27 @@ def _check_inputs(p, channels, weights, perm, sigma2):
     return p, w, perm
 
 
-def _logdet_sequence(p, channels, perm, sigma2) -> np.ndarray:
-    """logdet(A_k) for k = 1..K along the given encoding order."""
-    if perm.size == 0:
-        return np.zeros(0)
-    return _ref.logdets(_ref.factors(channels.h[perm], p[perm], sigma2))
+def _rate_terms(p, channels, weights, perm, sigma2):
+    """(w, perm, logdet(A_k) for k = 1..K along perm, per-UE increments in UE order)."""
+    p, w, perm = _check_inputs(p, channels, weights, perm, sigma2)
+    logdets = np.zeros(0)
+    if perm.size:
+        logdets = _ref.logdets(_ref.factors(channels.h[perm], p[perm], sigma2))
+    per_user = np.empty_like(logdets)
+    per_user[perm] = np.diff(logdets, prepend=0.0)
+    return w, perm, logdets, per_user
 
 
 def dpc_weighted_rate(p, channels, weights, perm, sigma2: float) -> WeightedRate:
     """Weighted DPC throughput, direct per-user form."""
-    p, w, perm = _check_inputs(p, channels, weights, perm, sigma2)
-    logdets = _logdet_sequence(p, channels, perm, sigma2)
-    increments = np.diff(logdets, prepend=0.0)
-    per_user = np.empty_like(increments)
-    per_user[perm] = increments
-    return WeightedRate(float(w[perm] @ increments), per_user)
+    w, perm, _, per_user = _rate_terms(p, channels, weights, perm, sigma2)
+    return WeightedRate(float(w[perm] @ per_user[perm]), per_user)
 
 
 def dual_weighted_rate(p, channels, weights, perm, sigma2: float) -> WeightedRate:
     """Weighted DPC throughput via the weight-decrement (dual uplink) form."""
-    p, w, perm = _check_inputs(p, channels, weights, perm, sigma2)
-    logdets = _logdet_sequence(p, channels, perm, sigma2)
-    dw = weight_decrements(w, perm)
-    increments = np.diff(logdets, prepend=0.0)
-    per_user = np.empty_like(increments)
-    per_user[perm] = increments
-    return WeightedRate(float(dw @ logdets), per_user)
+    w, perm, logdets, per_user = _rate_terms(p, channels, weights, perm, sigma2)
+    return WeightedRate(float(weight_decrements(w, perm) @ logdets), per_user)
 
 
 def weight_decrements(weights, perm) -> np.ndarray:

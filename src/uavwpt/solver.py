@@ -4,16 +4,18 @@ Maximizes the weight-decrement throughput form (see uavwpt.rate) over
 {p >= 0, sum p <= budget} with active-set projected Newton ascent and Armijo
 backtracking.  The hot loop lives in uavwpt._kernels; this module owns
 validation, the permute/unpermute bookkeeping and the report type.
+:func:`solve_batch` is the package's one call into the kernel, and
+:func:`solve_power_allocation` is its batch of one.
 
 Design notes on the solver itself: the feasible set has a cheap exact
 Euclidean projection, the objective is smooth, and it is concave whenever the
 weight decrements are all nonnegative (weights sorted descending along the
 encoding order), so an ascent method with a nondecreasing-objective line
-search converges to the global maximum in that case.  Defaults: stop when the
-relative objective change is <= tol AND the KKT residual is <= kkt_tol;
-uniform feasible start.  Each iteration fixes the users with (nearly) no
-power whose gradient is below the largest one, and takes the Newton step
-for the rest on the budget face: the Hessian
+search converges to the global maximum in that case.  Stop when the
+relative objective change is <= tol (default 1e-8) AND the KKT residual is
+<= _KKT_TOL, a fixed 1e-6; uniform feasible start.  Each iteration fixes
+the users with (nearly) no power whose gradient is below the largest one,
+and takes the Newton step for the rest on the budget face: the Hessian
 -sum_{k >= max(m, n)} dw_k |h_m^H A_k^{-1} h_n|^2 / sigma2^2 comes from the
 same factorization as the value and the gradient (Bertsekas, SIAM J.
 Control Optim. 1982).  Armijo backtracking runs along the projection of
@@ -29,6 +31,7 @@ import numpy as np
 from . import _kernels
 from .rate import optimal_permutation, weight_decrements
 
+_KKT_TOL = 1e-6
 _ARMIJO = 1e-4
 _SHRINK = 0.5
 
@@ -56,7 +59,6 @@ def solve_power_allocation(
     sigma2: float,
     budget: float,
     tol: float = 1e-8,
-    kkt_tol: float = 1e-6,
     max_iter: int = 10_000,
 ) -> SolveReport:
     """Maximize the weighted DPC throughput over the power budget.
@@ -65,7 +67,8 @@ def solve_power_allocation(
     UE order.  Global optimality is guaranteed when the weights are sorted
     descending along ``perm`` (nonnegative decrements, concave objective);
     other orders are accepted so exhaustive-enumeration checks can reuse
-    this routine, and then the result is only a stationary point.
+    this routine, and then the result is only a stationary point.  The
+    solve is :func:`solve_batch` of one row.
     """
     w = np.asarray(weights, dtype=float)
     perm = np.asarray(perm, dtype=np.intp)
@@ -85,40 +88,29 @@ def solve_power_allocation(
     if not np.isfinite(budget):
         raise ValueError("budget must be finite")
 
-    hp = np.ascontiguousarray(channels.h[perm])
-    dw = weight_decrements(w, perm)
-    q, objective, iterations, kkt, converged = _kernels.solve_pga(
-        hp,
-        dw,
-        float(sigma2),
-        float(budget),
-        float(tol),
-        float(kkt_tol),
-        int(max_iter),
-        _ARMIJO,
-        _SHRINK,
+    p, objective, iterations, kkt, converged = solve_batch(
+        channels.h[None], w, sigma2, [budget], tol, max_iter, perm
     )
-    p = np.zeros(k_ues)
-    p[perm] = q
     return SolveReport(
-        p=p,
-        objective=float(objective),
-        iterations=int(iterations),
-        kkt_residual=float(kkt),
-        converged=bool(converged),
+        p=p[0],
+        objective=float(objective[0]),
+        iterations=int(iterations[0]),
+        kkt_residual=float(kkt[0]),
+        converged=bool(converged[0]),
     )
 
 
-def solve_batch(h, weights, sigma2: float, budgets, tol=1e-8, kkt_tol=1e-6, max_iter=10_000):
+def solve_batch(h, weights, sigma2: float, budgets, tol=1e-8, max_iter=10_000, perm=None):
     """Solve many instances that share one weight vector in one kernel call.
 
     ``h`` is (B, K, N) in original UE order and ``budgets`` (B,).  Every
-    instance uses the descending-weight encoding order, the globally optimal
-    one.  Returns arrays (p, objective, iterations, kkt_residual, converged)
-    with p in original UE order; each row is bitwise what
-    solve_power_allocation gives for that instance.
+    instance uses the encoding order ``perm``, by default the
+    descending-weight one, the globally optimal order.  Returns arrays (p,
+    objective, iterations, kkt_residual, converged) with p in original UE
+    order.
     """
-    perm = optimal_permutation(weights)
+    if perm is None:
+        perm = optimal_permutation(weights)
     budgets = np.asarray(budgets, dtype=float)
     dw = np.broadcast_to(weight_decrements(weights, perm), (budgets.size, perm.size))
     q, objective, iterations, kkt, converged = _kernels.solve_pga_batch(
@@ -127,7 +119,7 @@ def solve_batch(h, weights, sigma2: float, budgets, tol=1e-8, kkt_tol=1e-6, max_
         float(sigma2),
         budgets,
         float(tol),
-        float(kkt_tol),
+        _KKT_TOL,
         int(max_iter),
         _ARMIJO,
         _SHRINK,

@@ -205,6 +205,28 @@ def test_negative_seed_flag_exits_2(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_huge_negative_seed_exits_2(capsys):
+    # Below -1.8e308 the seed no longer converts to a float for the message.
+    from uavwpt.cli import main
+
+    assert main(["single", "--set", "sweep.seed=-1" + "0" * 400]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: sweep.seed must be finite and >= 0, got -1{'0' * 400}\n"
+    )
+
+
+def test_trials_past_the_bound_exit_2(capsys):
+    # 1e11 trials would ask run_sweep for 1.7 TB before the first solve.
+    from uavwpt.cli import main
+
+    argv = ["simulate", "--set", "sweep.p_cir=40", "--set", "sweep.c=100",
+            "--trials", "100000000000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: sweep.trials must be finite and >= 1 and <= 1e+08, got 100000000000\n"
+    )
+
+
 def test_budget_to_noise_just_under_the_limit_runs(capsys):
     # 0.8 * c / 0.001 is 0.99 of the limit: every trial gets a finite row.
     from uavwpt.cli import main
@@ -270,7 +292,9 @@ def _past_bounds():
             cases.append((name, str(low - 1)))
         else:
             cases.append((name, repr(math.nextafter(low, -math.inf))))
-        if high is not None:
+        if kind is int and high is not None:
+            cases.append((name, str(high + 1)))
+        elif high is not None:
             cases.append((name, repr(math.nextafter(high, math.inf))))
     return cases
 

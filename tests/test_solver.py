@@ -1,6 +1,7 @@
 """Budgeted-simplex projection, KKT residual, and the power-allocation solver."""
 
 import importlib.util
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavwpt import _kernels
 from uavwpt._kernels import _ref
 from uavwpt.channel import ChannelRealization, draw_channel, draw_topology, trial_rng
 from uavwpt.rate import (
     dual_weighted_rate,
     objective_gradient,
     optimal_permutation,
+    weight_decrements,
 )
 from uavwpt.solver import solve_power_allocation
 
@@ -208,6 +211,31 @@ def test_solver_unsorted_order_accepted():
     assert np.isfinite(report.objective)
     assert np.all(report.p >= 0.0)
     assert report.p.sum() <= 50.0 + 1e-7
+
+
+@pytest.mark.parametrize("backend", ["selected", "_ref"])
+@pytest.mark.parametrize(
+    "k,perm",
+    [(3, perm) for perm in itertools.permutations(range(3))] + [(1, (0,))],
+)
+def test_solver_is_the_kernel_on_the_permuted_instance(k, perm, backend, monkeypatch):
+    # The reference permutes by hand, calls the one-row kernel and undoes
+    # the order; solve_power_allocation must give the same bits.
+    if backend == "_ref":
+        monkeypatch.setattr(_kernels, "solve_pga_batch", _ref.solve_pga_batch)
+        monkeypatch.setattr(_kernels, "solve_pga", _ref.solve_pga)
+    _, channels = _instance(2111, k, k)
+    w = np.array([0.2, 0.5, 0.3][:k])
+    perm = np.array(perm)
+    report = solve_power_allocation(channels, w, perm, SIGMA2, 45.0)
+    q, objective, iterations, kkt, converged = _kernels.solve_pga(
+        channels.h[perm], weight_decrements(w, perm), SIGMA2, 45.0, *SETTINGS
+    )
+    p = np.zeros(k)
+    p[perm] = q
+    assert report.p.tobytes() == p.tobytes()
+    assert (report.objective, report.iterations) == (objective, iterations)
+    assert (report.kkt_residual, report.converged) == (kkt, converged)
 
 
 def test_solver_objective_beats_uniform_and_random():
