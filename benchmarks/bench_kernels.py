@@ -16,9 +16,9 @@ a batch row differs from its lone solve, or when a solve did not converge.
 
 ``--json PATH`` also writes the results with the machine (CPU, cores,
 Python, numpy, compiler) and the commit.  ``_ref`` solves one row at a
-time, about 1 ms per solve at K=5, N=3 and 2 ms at K=16, N=8 on a 2-core
-Xeon with one BLAS thread, so a default run takes about 6 s there, nearly
-all of it in ``_ref``, and ``bench_kernels.py 30`` under 1 s.
+time, about 1.5 ms per solve at K=5, N=3 and 6 ms at K=16, N=8 on a
+2-core Xeon with one BLAS thread, so a default run takes about 12 s there,
+nearly all of it in ``_ref``, and ``bench_kernels.py 30`` about 2 s.
 """
 
 import argparse

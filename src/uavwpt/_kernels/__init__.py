@@ -27,11 +27,17 @@ cannot be built or numpy's library is missing, ``draw_variates`` is None
 and the sweep draws each trial through ``channel.trial_rng``, which stays
 the definition of the streams.  Nothing else selects either path.
 
-The C kernel rounds some sums and products differently from ``_ref``'s
-LAPACK and BLAS calls, so its objectives agree with ``_ref`` to 1e-12
-relative, not bit for bit; the CLI's printed outputs (the sweep CSV at
-12 significant digits) stay the same.  ``_ref`` remains the reference the
-tests compare with and the evaluator behind :mod:`uavwpt.rate`.
+Both evaluate the objective and its gradient from square-root factors
+R_k^H R_k = A_k, updated by Givens rotations one user at a time, so A_k
+is never formed and the value and gradient stay accurate to a few ulps
+from 1e-9 to 1e10 mW (``tests/test_accuracy.py``), and both build the
+face Hessian from rank-one downdates of the channels' Gram matrix.  The C
+kernel rounds some sums and products differently from ``_ref``'s BLAS and
+LAPACK calls and numpy's complex arithmetic, so its objectives agree with
+``_ref`` to 1e-12 relative, not bit for bit; the CLI's printed outputs
+(the sweep CSV at 12 significant digits) stay the same.  ``_ref`` remains
+the reference the tests compare with and the evaluator behind
+:mod:`uavwpt.rate`.
 """
 
 from . import _c, _ref

@@ -230,7 +230,9 @@ class CKernel:
             kkt.ctypes.data, converged.ctypes.data,
         )
         if status == 1:
-            raise ConsistencyError("accumulated interference matrix is not positive definite")
+            raise ConsistencyError(
+                "objective is not finite: non-finite input, or an A_k not positive definite"
+            )
         if status != 0:
             raise MemoryError("solver kernel could not allocate its workspace")
         return p, objective, iterations, kkt, converged

@@ -1,19 +1,23 @@
 """Pure-NumPy kernels: the objective, its derivatives and the solver, one row at a time.
 
-:func:`solve_pga` is an active-set projected Newton method; the objective
-and its gradient (:func:`evaluate`), the Hessian on the free face
-(:func:`face_hessian`, built from the products L_k^{-1} h_m that an
-evaluation leaves, only where a Newton step reads it), the projection and
-the KKT residual are its building blocks, and uavwpt.rate evaluates the
-throughput through the same Cholesky factors (:func:`factors`,
-:func:`logdets`).
+:func:`solve_pga` is an active-set projected Newton method.  Its building
+blocks are the evaluation (:func:`evaluate`: the log-det increments and
+the gradient from square-root factors updated one user at a time), the
+Hessian on the free face (:func:`face_hessian`, from rank-one downdates of
+the channels' Gram matrix, built only where a Newton step reads it), the
+projection and the KKT residual.  uavwpt.rate evaluates the throughput
+through the same increments.
 Everything works in *permuted* coordinates on raw arrays of one instance:
 ``h`` is the (K, N) channel matrix with rows ordered by the encoding
 permutation and ``dw`` the nonincreasing-weight decrements, so the
-objective is sum_k dw[k] * logdet(A_k).  :func:`solve_pga_batch` solves
-(B, K, N) rows with one :func:`solve_pga` call each, so no row depends on
-another.  kernel.c is the C port of this module, function for function.
+objective is sum_k dw[k] * logdet(A_k) with
+A_k = I + sum_{n<=k} (p[n]/sigma2) h_n h_n^H.  :func:`solve_pga_batch`
+solves (B, K, N) rows with one :func:`solve_pga` call each, so no row
+depends on another.  kernel.c is the C port of this module, function for
+function.
 """
+
+import math
 
 import numpy as np
 
@@ -24,113 +28,137 @@ _EPS = np.finfo(float).eps
 _RIDGE = 1e-12  # relative to a face's largest curvature: keeps singular faces solvable
 
 
-def factors(h, p, sigma2):
-    """Cholesky factors L_k of A_k = I + sum_{n<=k} (p[n]/sigma2) h_n h_n^H, (K, N, N).
+def _rotate(rz, n, row):
+    """Rotate ``row`` (N,) into R = ``rz[:, :n]`` by N Givens rotations, in place.
 
-    The identity goes into the first term, then the terms are summed in k
-    order.
+    R is upper triangular with a real positive diagonal.  Rotation j acts
+    on row j of ``rz`` and on ``row`` padded with zeros under the columns
+    of ``rz`` past n: it sets R[j, j] to the norm of (R[j, j], row[j]) and
+    row[j] to zero.  Afterwards R' with R'^H R' = R^H R + row^H row is in
+    place, and each column of ``rz`` past n that held R^{-H} x holds
+    R'^{-H} x: the rotations applied to [R^{-H} x; 0] (Golub and Van Loan,
+    Matrix Computations, section 6.5).
     """
-    h = np.asarray(h, dtype=complex)
-    scale = np.asarray(p, dtype=float) / sigma2
-    acc = scale[:, None, None] * (h[:, :, None] * h.conj()[:, None, :])
-    acc[0] += np.eye(h.shape[-1])
-    try:
-        return np.linalg.cholesky(np.add.accumulate(acc, out=acc))
-    except np.linalg.LinAlgError as exc:
-        raise ConsistencyError(
-            "accumulated interference matrix is not positive definite"
-        ) from exc
-
-
-def logdets(chol):
-    """logdet(A_k) = 2 sum_i log L_k[i, i] from the factors of :func:`factors`, (K,).
-
-    np.add.reduce sums the N logs in index order only for N <= 7; from N = 8
-    on it sums pairwise, in eight accumulators, where kernel.c adds in index
-    order, so the two round differently there.
-    """
-    return 2.0 * np.add.reduce(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
-
-
-def _objective(dw, chol):
-    """sum_k dw[k] * logdet(A_k), accumulated in k order."""
-    # + 0.0 turns an all-zero -0.0 sum into +0.0, as a sum started at 0.0 gives.
-    return float(np.add.accumulate(dw * logdets(chol))[-1] + 0.0)
-
-
-def _substitute(chol, h):
-    """z[k, j, m] = (L_k^{-1} h_m)[j] for every factor k and user m, (K, N, K).
-
-    Column-oriented forward substitution, as kernel.c does it: row j is
-    divided by L[j, j], then L[i, j] times it is taken off every later row
-    i, one antenna at a time for all (k, m) together.
-    """
-    z = np.repeat(h.T[None], chol.shape[0], axis=0)
-    pivots = np.diagonal(chol, axis1=-2, axis2=-1).real
-    for j in range(h.shape[-1]):
-        row = z[:, j].view(float)  # real and imaginary parts, each divided by the real pivot
-        row /= pivots[:, j, None]
-        z[:, j + 1 :] -= chol[:, j + 1 :, j, None] * z[:, j, None]
-    return z
+    ext = np.zeros(rz.shape[1], dtype=complex)
+    ext[:n] = row
+    for j in range(n):
+        d, a = rz[j, j].real, complex(ext[j])
+        rho = math.sqrt(d * d + (a.real * a.real + a.imag * a.imag))
+        inv = 1.0 / rho
+        c, sn = d * inv, complex(a.real * inv, a.imag * inv)
+        rz[j, j] = rho
+        x, y = rz[j, j + 1 :], ext[j + 1 :]
+        x[:], y[:] = c * x + sn.conjugate() * y, c * y - sn * x
 
 
 def evaluate(h, dw, p, sigma2):
-    """Objective, gradient and the products z from one factorisation.
+    """The log-det increments and the gradient at p, from one pass over the users.
 
-    z[k, j, m] = (L_k^{-1} h_m)[j] (:func:`_substitute`) is what
-    :func:`face_hessian` reads when a Newton step is taken from p.  With the
-    sums over k >= m with dw[k] != 0, in k order:
+    ``rz`` holds [R | Z]: R starts at I and Z at H^T, and user k is rotated
+    in by :func:`_rotate` of sqrt(p[k]/sigma2) h_k^H, skipped where
+    p[k] = 0, so that R^H R = A_k and Z = R^{-H} H^T after user k; A_k is
+    never formed.  Before user k, column k of Z is R_{k-1}^{-H} h_k, so by
+    the matrix determinant lemma
 
-        grad[m] = sum_k dw[k] ||z_km||^2 / sigma2.
+        logdet(A_k) - logdet(A_{k-1}) = log1p((p[k]/sigma2) ||Z[:, k]||^2),
+
+    and after it, with the sums over k >= m with dw[k] != 0, in k order,
+
+        grad[m] = sum_k dw[k] ||Z[:, m]||^2 / sigma2.
+
+    Returns (increments (K,), grad (K,)); dw = 0 gives the increments and a
+    zero gradient.
     """
     h = np.asarray(h, dtype=complex)
     dw = np.asarray(dw, dtype=float)
-    chol = factors(h, p, sigma2)
-    z = _substitute(chol, h)
-    # quad[k, m] = ||z_km||^2, summed over j in order.
-    quad = np.add.accumulate(np.square(z.real) + np.square(z.imag), axis=1)[:, -1]
-    grad = np.add.reduce(np.where(_counts(dw), dw[:, None] * quad / sigma2, 0.0), axis=0)
-    return _objective(dw, chol), grad, z
+    p = np.asarray(p, dtype=float)
+    k_ues, n = h.shape
+    rz = np.concatenate([np.eye(n, dtype=complex), h.T], axis=1)
+    plane = rz[:, n:]
+    increments, grad = np.zeros(k_ues), np.zeros(k_ues)
+    # A negative sigma2 (some A_k indefinite) gives NaN, as in C, not an error.
+    with np.errstate(invalid="ignore"):
+        for k in range(k_ues):
+            s = p[k] / sigma2
+            z = plane[:, k]
+            quad = np.add.accumulate(np.square(z.real) + np.square(z.imag))[-1]
+            increments[k] = np.log1p(s * quad)
+            if s != 0.0:
+                _rotate(rz, n, np.sqrt(s) * h[k].conj())
+            if dw[k] != 0.0:
+                z = plane[:, : k + 1]
+                quad = np.add.accumulate(np.square(z.real) + np.square(z.imag), axis=0)[-1]
+                grad[: k + 1] += dw[k] * quad / sigma2
+    return increments, grad
 
 
-def _counts(dw):
-    """[k, m]: user m's terms of factor k count (m <= k and dw[k] != 0)."""
-    users = np.arange(dw.size)
-    return (users <= users[:, None]) & (dw != 0.0)[:, None]
+def _objective(dw, increments):
+    """sum_k dw[k] * logdet(A_k), with logdet(A_k) the running sum of the increments."""
+    # + 0.0 turns an all-zero -0.0 sum into +0.0, as a sum started at 0.0 gives.
+    return float(np.add.accumulate(dw * np.add.accumulate(increments))[-1] + 0.0)
 
 
-def face_hessian(z, dw, sigma2, face):
-    """The Hessian on the face from :func:`evaluate`'s z, (K, K).
+def face_hessian(gram, dw, p, sigma2, face):
+    """The Hessian at p on the face, (K, K), from the Gram matrix gram = H^H H.
 
-    For users m, n both in the boolean mask ``face``, with the sum over
-    k >= max(m, n) with dw[k] != 0, in k order:
+    G^(k)[m, n] = h_m^H A_k^{-1} h_n comes from G^(-1) = gram by one
+    rank-one downdate per user (Sherman and Morrison), skipped where
+    p[k] = 0:
 
-        hess[m, n] = -sum_k dw[k] |<z_km, z_kn>|^2 / sigma2^2.
+        G^(k) = G^(k-1) - s_k g g^H / (1 + s_k G^(k-1)[k, k]),
+        g = G^(k-1)[:, k],  s_k = p[k] / sigma2,
 
-    The entries off the face are -0.0.  The inner products come from one
-    Gram product over all users, so an entry does not depend on the rest
-    of the face.
+    on the upper triangle only; g's entries below it are conjugates of
+    entries in it.  For users m, n both in the boolean mask ``face``, with
+    the sum over k >= max(m, n) with dw[k] != 0, in k order:
+
+        hess[m, n] = -sum_k dw[k] |G^(k)[m, n]|^2 / sigma2^2.
+
+    The entries off the face are -0.0.  No entry on the face depends on
+    the rest of the face.
     """
-    gram = np.matmul(z.conj().transpose(0, 2, 1), z)  # [k, m, n] = <z_km, z_kn>
-    counts = _counts(dw) & face
-    weight = (-dw / sigma2 / sigma2)[:, None, None]
+    k_ues = dw.size
+    users = np.arange(k_ues)
+    upper = users[:, None] <= users
+    g = np.array(gram, dtype=complex)
     # -0.0, not 0.0, is the identity of floating-point addition.
-    terms = np.where(
-        counts[:, :, None] & counts[:, None, :],
-        (np.square(gram.real) + np.square(gram.imag)) * weight,
-        -0.0,
-    )
-    return np.add.reduce(terms, axis=0, initial=-0.0)
+    hess = np.full((k_ues, k_ues), -0.0)
+    for k in range(k_ues):
+        s = p[k] / sigma2
+        if s != 0.0:
+            col = np.where(users <= k, g[:, k], g[k].conj())
+            beta = s / (1.0 + s * g[k, k].real)
+            g -= np.where(upper, np.multiply.outer(beta * col, col.conj()), 0.0)
+        if dw[k] != 0.0:
+            on = face & (users <= k)
+            terms = np.where(
+                upper & on[:, None] & on,
+                (np.square(g.real) + np.square(g.imag)) * (-dw[k] / sigma2 / sigma2),
+                -0.0,
+            )
+            hess += np.where(upper, terms, terms.T)
+    return hess
+
+
+def dual_objective_grad(h, dw, p, sigma2):
+    """Objective and its gradient w.r.t. p (both in permuted order).
+
+    Raises ConsistencyError when the objective is not finite: NaN or
+    infinite input, or an A_k that is not positive definite.
+    """
+    dw = np.asarray(dw, dtype=float)
+    increments, grad = evaluate(h, dw, p, sigma2)
+    f = _objective(dw, increments)
+    if not math.isfinite(f):
+        raise ConsistencyError(
+            "objective is not finite: non-finite input, or an A_k not positive definite"
+        )
+    return f, grad
 
 
 def dual_objective(h, dw, p, sigma2):
     """sum_k dw[k] * logdet(I + sum_{n<=k} (p[n]/sigma2) h_n h_n^H)."""
-    return _objective(np.asarray(dw, dtype=float), factors(h, p, sigma2))
-
-
-def dual_objective_grad(h, dw, p, sigma2):
-    """Objective and its gradient w.r.t. p (both in permuted order)."""
-    return evaluate(h, dw, p, sigma2)[:2]
+    return dual_objective_grad(h, dw, p, sigma2)[0]
 
 
 def project_simplex(v, budget):
@@ -188,12 +216,12 @@ def _gradient_step(g, cap):
     return g * (cap / np.abs(g).max())
 
 
-def _newton_step(p, g, z, dw, sigma2, cap, eps_act):
+def _newton_step(p, g, gram, dw, sigma2, cap, eps_act):
     """The search direction and whether it is the Newton one.
 
     The free set is {p > eps_act} plus the coordinates at the largest
     gradient; the rest stay put.  The Hessian H on the free face is built
-    from the z that :func:`evaluate` gave at p (:func:`face_hessian`).  On
+    at p from the row's Gram matrix (:func:`face_hessian`).  On
     the free face the Newton direction d maximises g.d + d.H.d/2 subject to
     sum(d) = 0: one solve of (ridge - H) [x y] = [g 1] and
     d = x - (sum x / sum y) y, where a ridge of _RIDGE times the face's
@@ -203,7 +231,7 @@ def _newton_step(p, g, z, dw, sigma2, cap, eps_act):
     decrements) the direction is _gradient_step.
     """
     free = (p > eps_act) | (g >= g.max())
-    curv = -face_hessian(z, dw, sigma2, free)  # 0.0 off the face
+    curv = -face_hessian(gram, dw, p, sigma2, free)  # 0.0 off the face
     scale = np.diagonal(curv).max()
     curv.flat[:: g.size + 1] += np.where(free, _RIDGE * scale if scale > 0.0 else 1.0, 1.0)
     x, y = np.linalg.solve(curv, np.stack([np.where(free, g, 0.0), free], axis=1)).T
@@ -228,12 +256,13 @@ def solve_pga(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
     the KKT tolerance already holds; a search that finds no ascent stops
     as numerically stationary, converged if its KKT residual holds.  Ascent
     below the rounding of f counts as none.  Each trial point gets one
-    :func:`evaluate` (value, gradient and the products z from one
-    factorisation), and an accepted point keeps it, so a solve factorises
-    1 + (number of trial points) times.  The face Hessian is built from z
-    once per iteration, at the point the step starts from: never at a
-    rejected trial point or at the point returned.  Deterministic: fixed
-    uniform start, no randomness.
+    :func:`dual_objective_grad` (value and gradient from one pass of
+    square-root updates), and an accepted point keeps it, so a solve
+    evaluates 1 + (number of trial points) times.  The face Hessian is
+    built once per iteration, at the point the step starts from, from the
+    Gram matrix of the channels formed once per solve: never at a rejected
+    trial point or at the point returned.  Deterministic: fixed uniform
+    start, no randomness.
     """
     dw = np.asarray(dw, dtype=float)
     budget = float(budget)
@@ -243,13 +272,15 @@ def solve_pga(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
     if k_ues == 0 or not budget > 0.0:
         return np.zeros(k_ues), 0.0, 0, 0.0, True
     eps_act = 1e-9 * budget
+    h = np.asarray(h, dtype=complex)
     p = np.full(k_ues, budget / k_ues)
-    f, g, z = evaluate(h, dw, p, sigma2)
+    f, g = dual_objective_grad(h, dw, p, sigma2)
+    gram = h.conj() @ h.T  # [m, n] = h_m^H h_n
     kkt = kkt_residual(p, g, budget, eps_act)
     if kkt <= kkt_tol:
         return p, f, 0, kkt, True
     for iteration in range(1, max_iter + 1):
-        step, newton = _newton_step(p, g, z, dw, sigma2, budget, eps_act)
+        step, newton = _newton_step(p, g, gram, dw, sigma2, budget, eps_act)
         t, accepted = 1.0, False
         for _ in range(_MAX_BACKTRACK):
             trial = project_simplex(p + t * step, budget)
@@ -264,7 +295,7 @@ def solve_pga(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
                     break
                 newton, t, step = False, 1.0, _gradient_step(g, budget)
                 continue
-            f_trial, g_trial, z_trial = evaluate(h, dw, trial, sigma2)
+            f_trial, g_trial = dual_objective_grad(h, dw, trial, sigma2)
             if f_trial >= f + armijo * ascent:
                 accepted = True
                 break
@@ -272,7 +303,7 @@ def solve_pga(h, dw, sigma2, budget, tol, kkt_tol, max_iter, armijo, shrink):
         if not accepted:  # numerically stationary
             return p, f, iteration, kkt, bool(kkt <= kkt_tol)
         rel_change = abs(f_trial - f) / max(abs(f_trial), 1e-300)
-        p, f, g, z = trial, f_trial, g_trial, z_trial
+        p, f, g = trial, f_trial, g_trial
         kkt = kkt_residual(p, g, budget, eps_act)
         if rel_change <= tol and kkt <= kkt_tol:
             return p, f, iteration, kkt, True

@@ -10,23 +10,31 @@
  * over {p >= 0, sum p <= budget[b]}.  h is (B, K, N) complex128 read as
  * float64 (re, im) pairs, dw and p are (B, K), everything C-contiguous.
  * Rows are solved one after another and never mix, so a row's result does
- * not depend on what else is in the batch.  Sums run in index order.
- * numpy's sums along a contiguous axis, such as the N logs of _ref's
- * logdets, add in index order only up to seven terms and pairwise, in eight
- * accumulators, from eight on; those sums and the BLAS and LAPACK calls of
- * _ref (Cholesky, Gram products, the face solve, dot products) may round
- * differently, so results agree with _ref to rounding, not bit for bit.
+ * not depend on what else is in the batch.  Sums run in index order, as
+ * _ref's np.add.accumulate sums do; _ref's BLAS and LAPACK calls (the Gram
+ * product, the face solve, dot products) and numpy's complex arithmetic may
+ * round differently, so results agree with _ref to rounding, not bit for
+ * bit.
  *
- * An evaluation gives the value and the gradient and leaves L_k^{-1} h_m for
- * every m <= k in the workspace, K (K + 1) N / 2 complex values (17 kB at
- * K = 16, N = 8).  The Hessian is built from them in newton_step, on the
- * free face only: once per iteration, never at a rejected trial point or at
- * the point a row stops at.  The whole workspace, one malloc per call, is
- * 2 K N^2 + K (K + 1) N + 2 K^2 + 2 K N + 4 N^2 + 10 K doubles (42 kB at
- * K = 16, N = 8).
+ * An evaluation never forms A_k.  It keeps an upper-triangular R with a
+ * real positive diagonal and R^H R = A_k, starting from I, beside the
+ * plane Z = R^{-H} H^T, one (N, K) array updated in place: user k is
+ * rotated in by N Givens rotations of [R | Z] and the row
+ * [sqrt(p[k]/sigma2) h_k^H | 0] (Golub and Van Loan, Matrix Computations,
+ * section 6.5), skipped where p[k] = 0.  Each log-det increment is one
+ * log1p((p[k]/sigma2) ||R_{k-1}^{-H} h_k||^2) and the gradient is read from
+ * the norms of Z's columns.  The face Hessian needs h_m^H A_k^{-1} h_n; it
+ * takes them from the row's Gram matrix H^H H, formed once per row, by one
+ * rank-one downdate per user (about K^3 / 2 complex products), in
+ * newton_step, on the free face only: once per iteration, never at a
+ * rejected trial point or at the point a row stops at.  The whole
+ * workspace, one malloc per call, is 2 N (N + K) + 2 (N + K) + 6 K^2 + 12 K
+ * doubles (17 kB at K = 16, N = 8).
  *
- * Returns 0, 1 when a Cholesky pivot of some A_k is not positive (or is
- * NaN), or 2 when the workspace cannot be allocated.
+ * Returns 0; 1 when an objective is not finite: NaN or infinite channels,
+ * or a negative sigma2 that makes some A_k indefinite (finite channels and
+ * a positive sigma2 never give it, short of overflow); or 2 when the
+ * workspace cannot be allocated.
  */
 #include <float.h>
 #include <math.h>
@@ -42,12 +50,12 @@ static double np_max(double a, double b) { return (a >= b || a != a) ? a : b; }
 
 typedef struct {
     int64_t K, N;
-    double *outer; /* (K, N, N) pairs: h_k h_k^H, lower triangle */
-    double *h_t;   /* (N, K) pairs: the row's channels, antenna-major */
-    double *acc;   /* (N, N) pairs: A_k, lower triangle */
-    double *chol;  /* (N, N) pairs: its Cholesky factor L_k */
-    double *z;     /* K planes; plane k is (N, k + 1) pairs: L_k^{-1} h_m for m <= k */
-    double *quad;  /* (K,): ||L_k^{-1} h_m||^2 of the current plane */
+    double *rz;    /* (N, N + K) pairs: [R_k | Z_k], R_k upper triangular */
+    double *ext;   /* (N + K) pairs: the row being rotated into rz */
+    double *quad;  /* (K,): ||R_k^{-H} h_m||^2, the squared norms of Z_k's columns */
+    double *gram;  /* (K, K) pairs: H^H H of the row, upper triangle */
+    double *down;  /* (K, K) pairs: its downdates G^(k), upper triangle */
+    double *col;   /* (K,) pairs: column k of G^(k-1) */
     double *face;  /* (K, K + 2): the face system and its two right-hand sides */
     double *on_face; /* (K,): 1.0 for the users on the free face, else 0.0 */
     double *g, *hess;  /* the row's current gradient (K) and face Hessian (K, K) */
@@ -61,23 +69,19 @@ static double *take(double **cursor, int64_t count)
     return out;
 }
 
-/* Plane k of z starts after the planes of k' < k, which hold (k' + 1) * N pairs each. */
-static double *plane(const Work *w, int64_t k) { return w->z + k * (k + 1) * w->N; }
-
 static int work_init(Work *w, int64_t K, int64_t N)
 {
-    int64_t total = 2 * K * N * N + 2 * K * N + 4 * N * N + N * K * (K + 1) + K * (K + 2)
-                    + 8 * K + K * K;
+    int64_t total = 2 * N * (N + K) + 2 * (N + K) + 6 * K * K + 12 * K;
     double *cursor = malloc((size_t)(total > 0 ? total : 1) * sizeof(double));
     if (cursor == NULL) return 0;
     w->K = K;
     w->N = N;
-    w->outer = take(&cursor, 2 * K * N * N);
-    w->h_t = take(&cursor, 2 * K * N);
-    w->acc = take(&cursor, 2 * N * N);
-    w->chol = take(&cursor, 2 * N * N);
-    w->z = take(&cursor, N * K * (K + 1));
+    w->rz = take(&cursor, 2 * N * (N + K));
+    w->ext = take(&cursor, 2 * (N + K));
     w->quad = take(&cursor, K);
+    w->gram = take(&cursor, 2 * K * K);
+    w->down = take(&cursor, 2 * K * K);
+    w->col = take(&cursor, 2 * K);
     w->face = take(&cursor, K * (K + 2));
     w->on_face = take(&cursor, K);
     w->v = take(&cursor, K);
@@ -90,163 +94,153 @@ static int work_init(Work *w, int64_t K, int64_t N)
     return 1;
 }
 
-/* The outer products h_k h_k^H of one row (as _ref.factors forms them), lower
- * triangle, and the row's channels transposed to antenna-major order. */
+/* The Gram matrix H^H H of one row, [m, n] = h_m^H h_n, upper triangle
+ * (_ref.solve_pga forms it once per row). */
 static void invariants(Work *w, const double *h)
 {
     int64_t K = w->K, N = w->N;
-    for (int64_t k = 0; k < K; k++) {
-        const double *hk = h + 2 * k * N;
-        double *o = w->outer + 2 * k * N * N;
-        for (int64_t i = 0; i < N; i++)
-            for (int64_t j = 0; j <= i; j++) {
-                double ar = hk[2 * i], ai = hk[2 * i + 1];
-                double br = hk[2 * j], bi = -hk[2 * j + 1];
-                o[2 * (i * N + j)] = ar * br - ai * bi;
-                o[2 * (i * N + j) + 1] = ar * bi + ai * br;
+    for (int64_t m = 0; m < K; m++)
+        for (int64_t n = m; n < K; n++) {
+            const double *hm = h + 2 * m * N, *hn = h + 2 * n * N;
+            double gr = 0.0, gi = 0.0;
+            for (int64_t j = 0; j < N; j++) {
+                /* conj(h_m[j]) * h_n[j] */
+                gr += hm[2 * j] * hn[2 * j] + hm[2 * j + 1] * hn[2 * j + 1];
+                gi += hm[2 * j] * hn[2 * j + 1] - hm[2 * j + 1] * hn[2 * j];
             }
-        for (int64_t j = 0; j < N; j++) {
-            w->h_t[2 * (j * K + k)] = hk[2 * j];
-            w->h_t[2 * (j * K + k) + 1] = hk[2 * j + 1];
+            w->gram[2 * (m * K + n)] = gr;
+            w->gram[2 * (m * K + n) + 1] = gi;
         }
-    }
 }
 
-/* In-place lower Cholesky factor of acc into chol; 0 if a pivot is not positive. */
-static int cholesky(Work *w)
+/* Rotate sqrt(s) h_k^H into R by N Givens rotations, Z's columns carried
+ * along (_ref._rotate): rotation j sets R[j, j] to the norm of
+ * (R[j, j], ext[j]) and ext[j] to zero. */
+static void rotate(Work *w, const double *hk, double rs)
 {
-    int64_t N = w->N;
-    const double *a = w->acc;
-    double *l = w->chol;
+    int64_t N = w->N, W = N + w->K;
+    double *ext = w->ext;
+    for (int64_t l = 0; l < W; l++) {
+        ext[2 * l] = l < N ? rs * hk[2 * l] : 0.0;
+        ext[2 * l + 1] = l < N ? rs * -hk[2 * l + 1] : 0.0;
+    }
     for (int64_t j = 0; j < N; j++) {
-        double d = a[2 * (j * N + j)];
-        for (int64_t c = 0; c < j; c++) {
-            double re = l[2 * (j * N + c)], im = l[2 * (j * N + c) + 1];
-            d -= re * re + im * im;
-        }
-        if (!(d > 0.0)) return 0;
-        d = sqrt(d);
-        l[2 * (j * N + j)] = d;
-        l[2 * (j * N + j) + 1] = 0.0;
-        double inv = 1.0 / d;
-        for (int64_t i = j + 1; i < N; i++) {
-            double re = a[2 * (i * N + j)], im = a[2 * (i * N + j) + 1];
-            for (int64_t c = 0; c < j; c++) {
-                /* L[i, c] * conj(L[j, c]) */
-                double xr = l[2 * (i * N + c)], xi = l[2 * (i * N + c) + 1];
-                double yr = l[2 * (j * N + c)], yi = -l[2 * (j * N + c) + 1];
-                re -= xr * yr - xi * yi;
-                im -= xr * yi + xi * yr;
-            }
-            l[2 * (i * N + j)] = re * inv;
-            l[2 * (i * N + j) + 1] = im * inv;
+        double *row = w->rz + 2 * j * W;
+        double d = row[2 * j], ar = ext[2 * j], ai = ext[2 * j + 1];
+        double rho = sqrt(d * d + (ar * ar + ai * ai)), inv = 1.0 / rho;
+        double c = d * inv, sr = ar * inv, si = ai * inv, ci = -si; /* sn, conj(sn) */
+        row[2 * j] = rho;
+        for (int64_t l = j + 1; l < W; l++) {
+            /* (x, y) <- (c x + conj(sn) y, c y - sn x) */
+            double xr = row[2 * l], xi = row[2 * l + 1];
+            double yr = ext[2 * l], yi = ext[2 * l + 1];
+            row[2 * l] = c * xr + (sr * yr - ci * yi);
+            row[2 * l + 1] = c * xi + (sr * yi + ci * yr);
+            ext[2 * l] = c * yr - (sr * xr - si * xi);
+            ext[2 * l + 1] = c * yi - (sr * xi + si * xr);
         }
     }
-    return 1;
 }
 
 /*
- * Objective and gradient at p from one factorisation per user
- * (_ref.evaluate): value = sum_k dw[k] logdet(A_k) and
- * grad[m] = sum_{k >= m} dw[k] ||L_k^{-1} h_m||^2 / sigma2.  The products
- * L_k^{-1} h_m stay in plane k of w->z for face_hessian, which reads them
- * only when a Newton step is taken from p; planes with dw[k] == 0 are not
- * written.  Returns 0 if some A_k is not positive definite.
+ * The objective and the gradient at p from one pass over the users
+ * (_ref.evaluate).  R starts at I and Z at H^T; user k is rotated in,
+ * except where p[k] = 0, so A_k is never formed.  Before user k, column k
+ * of Z is R_{k-1}^{-H} h_k, so
+ * logdet(A_k) - logdet(A_{k-1}) = log1p(p[k] / sigma2 ||Z[:, k]||^2);
+ * after it, grad[m] += dw[k] ||Z[:, m]||^2 / sigma2 for m <= k where
+ * dw[k] != 0.  value = sum_k dw[k] logdet(A_k).  Returns 0 if the value is
+ * not finite (NaN or infinite input, or an A_k not positive definite).
  */
-static int evaluate(Work *w, const double *dw, const double *p, double sigma2, double *value,
-                    double *grad)
+static int evaluate(Work *w, const double *h, const double *dw, const double *p,
+                    double sigma2, double *value, double *grad)
 {
-    int64_t K = w->K, N = w->N;
-    double *a = w->acc, *l = w->chol, *quad = w->quad;
-    double total = 0.0;
+    int64_t K = w->K, N = w->N, W = N + K;
+    double *rz = w->rz, *quad = w->quad;
+    double logdet = 0.0, total = 0.0;
+    for (int64_t i = 0; i < N; i++) {
+        double *row = rz + 2 * i * W;
+        for (int64_t j = i; j < N; j++) {
+            row[2 * j] = i == j ? 1.0 : 0.0;
+            row[2 * j + 1] = 0.0;
+        }
+        for (int64_t m = 0; m < K; m++) {
+            row[2 * (N + m)] = h[2 * (m * N + i)];
+            row[2 * (N + m) + 1] = h[2 * (m * N + i) + 1];
+        }
+    }
     for (int64_t m = 0; m < K; m++) grad[m] = 0.0;
     for (int64_t k = 0; k < K; k++) {
-        double s = p[k] / sigma2;
-        const double *o = w->outer + 2 * k * N * N;
-        for (int64_t i = 0; i < N; i++)
-            for (int64_t j = 0; j <= i; j++) {
-                int64_t at = 2 * (i * N + j);
-                double re = s * o[at], im = s * o[at + 1];
-                if (k == 0) {
-                    a[at] = i == j ? re + 1.0 : re;
-                    a[at + 1] = im;
-                } else {
-                    a[at] += re;
-                    a[at + 1] += im;
-                }
-            }
-        if (!cholesky(w)) return 0;
-        double logdet = 0.0;
-        for (int64_t i = 0; i < N; i++) logdet += log(l[2 * (i * N + i)]);
-        double term = dw[k] * (2.0 * logdet);
-        total = k == 0 ? term : total + term;
-        if (dw[k] == 0.0) continue; /* its gradient and Hessian terms are zero */
-        /* z_m = L_k^{-1} h_m for all m <= k at once, by column-oriented
-         * forward substitution, one antenna row j at a time: z[j][m] is
-         * row j of z_m.  Column 0 reads the channels and writes every row
-         * of z; later columns update z in place. */
-        int64_t M = k + 1;
-        double *z = plane(w, k);
+        double s = p[k] / sigma2, q = 0.0;
         for (int64_t j = 0; j < N; j++) {
-            const double *src = j == 0 ? w->h_t : z;
-            int64_t stride = j == 0 ? 2 * K : 2 * M;
-            double pivot = l[2 * (j * N + j)];
-            double *zj = z + 2 * j * M;
-            const double *sj = src + j * stride;
-            for (int64_t m = 0; m < M; m++) {
-                double xr = sj[2 * m] / pivot, xi = sj[2 * m + 1] / pivot;
-                zj[2 * m] = xr;
-                zj[2 * m + 1] = xi;
-                quad[m] = j == 0 ? xr * xr + xi * xi : quad[m] + (xr * xr + xi * xi);
-            }
-            for (int64_t i = j + 1; i < N; i++) {
-                double yr = l[2 * (i * N + j)], yi = l[2 * (i * N + j) + 1];
-                double *zi = z + 2 * i * M;
-                const double *si = src + i * stride;
-                for (int64_t m = 0; m < M; m++) {
-                    double xr = zj[2 * m], xi = zj[2 * m + 1];
-                    zi[2 * m] = si[2 * m] - (xr * yr - xi * yi);
-                    zi[2 * m + 1] = si[2 * m + 1] - (xr * yi + xi * yr);
-                }
+            const double *z = rz + 2 * (j * W + N + k);
+            q = j == 0 ? z[0] * z[0] + z[1] * z[1] : q + (z[0] * z[0] + z[1] * z[1]);
+        }
+        double inc = log1p(s * q);
+        logdet = k == 0 ? inc : logdet + inc;
+        double term = dw[k] * logdet;
+        total = k == 0 ? term : total + term;
+        if (s != 0.0) rotate(w, h + 2 * k * N, sqrt(s));
+        if (dw[k] == 0.0) continue; /* its gradient terms are zero */
+        for (int64_t j = 0; j < N; j++) {
+            const double *z = rz + 2 * (j * W + N);
+            for (int64_t m = 0; m <= k; m++) {
+                double x = z[2 * m] * z[2 * m] + z[2 * m + 1] * z[2 * m + 1];
+                quad[m] = j == 0 ? x : quad[m] + x;
             }
         }
-        for (int64_t m = 0; m < M; m++) grad[m] += dw[k] * quad[m] / sigma2;
+        for (int64_t m = 0; m <= k; m++) grad[m] += dw[k] * quad[m] / sigma2;
     }
     *value = total + 0.0; /* + 0.0 turns an all-zero -0.0 sum into +0.0 */
-    return 1;
+    return isfinite(*value);
 }
 
 /*
- * The Hessian on the free face from the planes the last evaluate left
- * (_ref.face_hessian): for users m, n both on the face,
- * hess[m, n] = -sum_{k >= max(m, n)} dw[k] |<L_k^{-1} h_m, L_k^{-1} h_n>|^2 / sigma2^2,
+ * The Hessian on the free face at p (_ref.face_hessian).  G^(k)[m, n] =
+ * h_m^H A_k^{-1} h_n comes from the row's Gram matrix by one rank-one
+ * downdate per user with p[k] > 0, on the upper triangle:
+ * G <- G - s g g^H / (1 + s G[k, k]) with g = G[:, k] and s = p[k] / sigma2.
+ * For users m, n both on the face,
+ * hess[m, n] = -sum_{k >= max(m, n)} dw[k] |G^(k)[m, n]|^2 / sigma2^2,
  * summed in k order over dw[k] != 0.  Entries off the face are not written.
  */
-static void face_hessian(Work *w, const double *dw, double sigma2)
+static void face_hessian(Work *w, const double *dw, const double *p, double sigma2)
 {
-    int64_t K = w->K, N = w->N;
+    int64_t K = w->K;
     const double *on_face = w->on_face;
-    double *hess = w->hess;
+    double *hess = w->hess, *G = w->down, *col = w->col;
+    memcpy(G, w->gram, (size_t)(2 * K * K) * sizeof(double));
     /* -0.0, not 0.0, is the identity of floating-point addition. */
     for (int64_t m = 0; m < K; m++)
         for (int64_t n = 0; n < K; n++)
             if (on_face[m] && on_face[n]) hess[m * K + n] = -0.0;
     for (int64_t k = 0; k < K; k++) {
-        if (dw[k] == 0.0) continue;
-        int64_t M = k + 1;
-        const double *z = plane(w, k);
-        double weight = -dw[k] / sigma2 / sigma2;
-        for (int64_t m = 0; m < M; m++) {
-            if (!on_face[m]) continue;
-            for (int64_t n = m; n < M; n++) {
-                if (!on_face[n]) continue;
-                double gr = 0.0, gi = 0.0;
-                for (int64_t j = 0; j < N; j++) {
-                    /* conj(z_m[j]) * z_n[j] */
-                    const double *zm = z + 2 * (j * M + m), *zn = z + 2 * (j * M + n);
-                    gr += zm[0] * zn[0] + zm[1] * zn[1];
-                    gi += zm[0] * zn[1] - zm[1] * zn[0];
+        double s = p[k] / sigma2;
+        if (s != 0.0) {
+            for (int64_t m = 0; m < K; m++) { /* g, read from the upper triangle */
+                const double *at = m <= k ? G + 2 * (m * K + k) : G + 2 * (k * K + m);
+                col[2 * m] = at[0];
+                col[2 * m + 1] = m <= k ? at[1] : -at[1];
+            }
+            double beta = s / (1.0 + s * G[2 * (k * K + k)]);
+            for (int64_t m = 0; m < K; m++) {
+                double br = beta * col[2 * m], bi = beta * col[2 * m + 1];
+                double *row = G + 2 * m * K;
+                for (int64_t n = m; n < K; n++) {
+                    /* G[m, n] -= (beta g_m) conj(g_n) */
+                    double yr = col[2 * n], yi = -col[2 * n + 1];
+                    row[2 * n] -= br * yr - bi * yi;
+                    row[2 * n + 1] -= br * yi + bi * yr;
                 }
+            }
+        }
+        if (dw[k] == 0.0) continue;
+        double weight = -dw[k] / sigma2 / sigma2;
+        for (int64_t m = 0; m <= k; m++) {
+            if (!on_face[m]) continue;
+            for (int64_t n = m; n <= k; n++) {
+                if (!on_face[n]) continue;
+                double gr = G[2 * (m * K + n)], gi = G[2 * (m * K + n) + 1];
                 double t = (gr * gr + gi * gi) * weight;
                 hess[m * K + n] += t;
                 if (n != m) hess[n * K + m] += t;
@@ -341,7 +335,7 @@ static void gradient_step(int64_t K, const double *g, double cap, double *step)
  * (_ref._newton_step): the Newton direction on the free face under
  * sum(d) = 0, from (ridge - H) [x y] = [g 1] by Gaussian elimination with
  * partial pivoting, else the gradient step.  H is built here, on the face
- * only, from the planes that evaluate left at p.
+ * only, at p.
  */
 static int newton_step(Work *w, const double *p, const double *g, const double *dw,
                        double sigma2, double cap, double eps_act, double *step)
@@ -352,7 +346,7 @@ static int newton_step(Work *w, const double *p, const double *g, const double *
     for (int64_t m = 1; m < K; m++) top = np_max(top, g[m]);
     /* The free face: users with power plus those at the largest gradient. */
     for (int64_t m = 0; m < K; m++) w->on_face[m] = p[m] > eps_act || g[m] >= top;
-    face_hessian(w, dw, sigma2);
+    face_hessian(w, dw, p, sigma2);
     for (int64_t m = 0; m < K; m++) {
         for (int64_t n = 0; n < K; n++)
             a[m * W + n] = w->on_face[m] && w->on_face[n] ? -hess[m * K + n] : 0.0;
@@ -423,7 +417,7 @@ int solve_pga_batch(int64_t B, int64_t K, int64_t N, const double *h, const doub
         double eps_act = 1e-9 * cap;
         for (int64_t m = 0; m < K; m++) p[m] = cap / (double)K;
         invariants(&w, hb);
-        if (!evaluate(&w, db, p, sigma2, &f, g)) {
+        if (!evaluate(&w, hb, db, p, sigma2, &f, g)) {
             status = 1;
             break;
         }
@@ -452,7 +446,7 @@ int solve_pga_batch(int64_t B, int64_t K, int64_t N, const double *h, const doub
                         gradient_step(K, g, cap, step);
                         continue;
                     }
-                    if (!evaluate(&w, db, trial, sigma2, &f_cand, w.cand_g)) {
+                    if (!evaluate(&w, hb, db, trial, sigma2, &f_cand, w.cand_g)) {
                         status = 1;
                         break;
                     }
@@ -484,6 +478,6 @@ int solve_pga_batch(int64_t B, int64_t K, int64_t N, const double *h, const doub
         kkt_out[b] = kkt;
         conv_out[b] = (unsigned char)converged;
     }
-    free(w.outer);
+    free(w.rz);
     return status;
 }

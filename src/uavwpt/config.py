@@ -66,10 +66,10 @@ _BOUNDS = {f"{row[0]}.{row[1]}": row[5:] for row in _KEYS}
 
 # The largest downlink budget over the noise power that a config may reach,
 # amp_efficiency * max(eh.c, sweep.c) / noise_power.  Measured on the stock
-# geometry (100 trials, p_cir=40 mW): the ratio 8e8 (c=1e6 mW) leaves 0.7 % of
-# trials unconverged, 8e12 (c=1e10) 19 %, 8e15 (c=1e13) 41 %, 8e18 (c=1e16)
-# 75 %, and at 8e19 (c=1e17) the interference matrices are no longer
-# numerically positive definite and the Cholesky factorisation fails.
+# geometry (100 trials, p_cir=40 mW, limit lifted): every trial converges up to
+# the ratio 8e19 (c=1e17 mW); 8e20 (c=1e18) leaves 1 % unconverged, 8e22
+# (c=1e20) 32 % and 8e24 (c=1e22) 71 %.  The limit stays more than six
+# decades below the first ratio that left a trial unconverged.
 MAX_BUDGET_TO_NOISE = 1e13
 
 
@@ -193,7 +193,8 @@ def check_budget_to_noise(cfg, c_values):
     """Raise ConfigError unless the largest budget of ``cfg`` swept over ``c_values`` is in range.
 
     Each value may be in range, yet a huge budget over a tiny noise power
-    overflows or leaves the factorisation without precision.
+    leaves the solver's last gains below the rounding of the objective, so
+    its solves stop short of their tolerance.
     """
     ratio = cfg.amp_efficiency * max(cfg.eh_c, *c_values) / cfg.noise_power
     if not ratio <= MAX_BUDGET_TO_NOISE:

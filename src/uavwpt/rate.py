@@ -18,11 +18,13 @@ permutation sorts the weights in descending order every decrement is
 nonnegative, making the second form a concave function of p; that is the
 objective the power-allocation solver maximizes.
 
-Rates are in nats.  Both forms evaluate one log-det sequence, from the
-Cholesky factors of the explicitly accumulated A_k (``factors`` and
-``logdets`` of uavwpt._kernels._ref), and differ only in the weights
-they apply to it.  The gradient comes from ``_ref.dual_objective_grad``,
-the evaluation the numpy solver ascends with.
+Rates are in nats.  Both forms evaluate one sequence of log-det
+increments, logdet A_k - logdet A_{k-1} = log1p((p/sigma2) h^H A_{k-1}^{-1} h)
+from square-root factors that are updated user by user, never from A_k
+itself (``evaluate`` of uavwpt._kernels._ref), and differ only in the
+weights they apply to it.  The gradient comes from
+``_ref.dual_objective_grad``, the evaluation the numpy solver ascends
+with.
 """
 
 from dataclasses import dataclass
@@ -77,12 +79,12 @@ def _check_inputs(p, channels, weights, perm, sigma2):
 def _rate_terms(p, channels, weights, perm, sigma2):
     """(w, perm, logdet(A_k) for k = 1..K along perm, per-UE increments in UE order)."""
     p, w, perm = _check_inputs(p, channels, weights, perm, sigma2)
-    logdets = np.zeros(0)
+    increments = np.zeros(0)
     if perm.size:
-        logdets = _ref.logdets(_ref.factors(channels.h[perm], p[perm], sigma2))
-    per_user = np.empty_like(logdets)
-    per_user[perm] = np.diff(logdets, prepend=0.0)
-    return w, perm, logdets, per_user
+        increments, _ = _ref.evaluate(channels.h[perm], np.zeros(perm.size), p[perm], sigma2)
+    per_user = np.empty_like(increments)
+    per_user[perm] = increments
+    return w, perm, np.add.accumulate(increments), per_user
 
 
 def dpc_weighted_rate(p, channels, weights, perm, sigma2: float) -> WeightedRate:

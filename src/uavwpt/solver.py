@@ -15,10 +15,13 @@ search converges to the global maximum in that case.  Stop when the
 relative objective change is <= tol (default 1e-8) AND the KKT residual is
 <= _KKT_TOL, a fixed 1e-6; uniform feasible start.  Each iteration fixes
 the users with (nearly) no power whose gradient is below the largest one,
-and takes the Newton step for the rest on the budget face: the Hessian
+and takes the Newton step for the rest on the budget face (Bertsekas, SIAM
+J. Control Optim. 1982).  The value and the gradient come from square-root
+factors of the A_k, updated by Givens rotations user by user; the Hessian
 -sum_{k >= max(m, n)} dw_k |h_m^H A_k^{-1} h_n|^2 / sigma2^2 comes from the
-same factorization as the value and the gradient (Bertsekas, SIAM J.
-Control Optim. 1982).  Armijo backtracking runs along the projection of
+Gram matrix H^H H of the channels, formed once per instance, by one
+rank-one (Sherman-Morrison) downdate per user at the point the step
+starts from.  Armijo backtracking runs along the projection of
 that step onto the simplex.  Where the Newton direction gives no ascent
 (unsorted weights make the objective nonconcave) the step is the gradient
 scaled so that its largest entry is the budget.

@@ -93,8 +93,8 @@ def _first_step(h, dw, cap):
     gives no ascent (the row takes the gradient arc), or its trial point at
     t = 1 is accepted or not (the row backtracks)."""
     p = np.full(dw.size, cap / dw.size)
-    f, g, z = _ref.evaluate(h, dw, p, SIGMA2)
-    step, newton = _ref._newton_step(p, g, z, dw, SIGMA2, cap, 1e-9 * cap)
+    f, g = _ref.dual_objective_grad(h, dw, p, SIGMA2)
+    step, newton = _ref._newton_step(p, g, h.conj() @ h.T, dw, SIGMA2, cap, 1e-9 * cap)
     if not newton:
         return "no ascent"
     trial = _ref.project_simplex(p + step, cap)
@@ -155,6 +155,7 @@ def test_line_search_that_never_accepts_stops_at_the_start():
 
 
 def test_each_trial_point_is_factorised_once(monkeypatch):
+    # A point's square-root factors are built by one evaluation.
     h, dw, budget = _line_search_batch()
     h, dw, cap = h[3], dw[3], budget[3]
     max_iter = 6
@@ -166,15 +167,15 @@ def test_each_trial_point_is_factorised_once(monkeypatch):
     assert longer[2] == max_iter + 1
     counts = {"factorised": 0, "projected": 0}
 
-    def factors(h, p, sigma2, _real=_ref.factors):
+    def evaluate(h, dw, p, sigma2, _real=_ref.evaluate):
         counts["factorised"] += 1
-        return _real(h, p, sigma2)
+        return _real(h, dw, p, sigma2)
 
     def project_simplex(v, budget, _real=_ref.project_simplex):
         counts["projected"] += 1
         return _real(v, budget)
 
-    monkeypatch.setattr(_ref, "factors", factors)
+    monkeypatch.setattr(_ref, "evaluate", evaluate)
     monkeypatch.setattr(_ref, "project_simplex", project_simplex)
     out = _ref.solve_pga(h, dw, SIGMA2, cap, ARGS[0], 0.0, max_iter, *LINE_SEARCH)
     assert out[2] == max_iter and not out[4]
@@ -185,26 +186,26 @@ def test_each_trial_point_is_factorised_once(monkeypatch):
 def test_each_iteration_builds_one_face_hessian(monkeypatch):
     # The Hessian is built only where a Newton step is taken: at the start
     # and at each accepted point, never at a rejected trial point or at the
-    # point the solve returns.
+    # point the solve returns, and always from the Gram matrix of the
+    # channels formed once per solve.
     h, dw, budget = _line_search_batch()
     h, dw, cap = h[3], dw[3], budget[3]
     max_iter = 6
-    evaluated = []  # (p, z) of every evaluation, in order
+    evaluated = []  # the p of every evaluation, in order
     stepped = []  # the p of every Newton step, in order
-    built = []  # the z of every face Hessian, in order
+    built = []  # the (gram, p) of every face Hessian, in order
 
     def evaluate(h, dw, p, sigma2, _real=_ref.evaluate):
-        out = _real(h, dw, p, sigma2)
-        evaluated.append((p.copy(), out[2]))
-        return out
+        evaluated.append(p.copy())
+        return _real(h, dw, p, sigma2)
 
-    def newton_step(p, g, z, *args, _real=_ref._newton_step):
+    def newton_step(p, g, gram, *args, _real=_ref._newton_step):
         stepped.append(p.copy())
-        return _real(p, g, z, *args)
+        return _real(p, g, gram, *args)
 
-    def face_hessian(z, *args, _real=_ref.face_hessian):
-        built.append(z)
-        return _real(z, *args)
+    def face_hessian(gram, dw, p, *args, _real=_ref.face_hessian):
+        built.append((gram, p.copy()))
+        return _real(gram, dw, p, *args)
 
     monkeypatch.setattr(_ref, "evaluate", evaluate)
     monkeypatch.setattr(_ref, "_newton_step", newton_step)
@@ -215,15 +216,17 @@ def test_each_iteration_builds_one_face_hessian(monkeypatch):
     assert iterations == max_iter
     assert len(evaluated) > len(built) + 1  # some trial points were rejected
     assert len(built) == len(stepped) == iterations
-    for point, z in zip(stepped, built):
-        # The face Hessian reads the z evaluated at the point it steps from.
-        assert sum(z is z_eval for _, z_eval in evaluated) == 1
-        p_eval = next(p_eval for p_eval, z_eval in evaluated if z_eval is z)
-        assert np.array_equal(p_eval, point)
+    assert all(gram is built[0][0] for gram, _ in built)
+    assert np.array_equal(built[0][0], h.conj() @ h.T)
+    for point, (_, at) in zip(stepped, built):
+        # The face Hessian is built at the point the step starts from, an
+        # evaluated point.
+        assert np.array_equal(at, point)
+        assert sum(np.array_equal(at, p_eval) for p_eval in evaluated) == 1
     # Points: the start, then each accepted trial point; the last of those is returned.
-    assert np.array_equal(stepped[0], evaluated[0][0])
-    assert np.array_equal(evaluated[-1][0], p)
-    assert not any(z is evaluated[-1][1] for z in built)
+    assert np.array_equal(stepped[0], evaluated[0])
+    assert np.array_equal(evaluated[-1], p)
+    assert not any(np.array_equal(at, p) for _, at in built)
 
 
 def test_zero_budget_rows_are_trivially_optimal():
@@ -240,23 +243,6 @@ def test_max_iter_one_stops_unconverged():
     h, dw, budget = _batch(5, 3, seed=2)
     _, _, it, _, conv = _solve(h, dw, budget, 1)
     assert np.all(it[budget > 0] == 1) and not np.any(conv[budget > 0])
-
-
-def test_solve_batch_matches_solve_power_allocation():
-    # Unsorted weights: solve_batch applies the encoding order and undoes it.
-    from uavwpt.channel import ChannelRealization
-
-    h, _, budget = _batch(4, 3, seed=5)
-    weights = np.array([0.2, 0.4, 0.1, 0.3])
-    got = solve_batch(h, weights, SIGMA2, budget)
-    perm = optimal_permutation(weights)
-    for b in range(len(budget)):
-        one = solve_power_allocation(
-            ChannelRealization(h[b]), weights, perm, SIGMA2, float(budget[b])
-        )
-        want = (one.p, one.objective, one.iterations, one.kkt_residual, one.converged)
-        for g, w in zip(got, want):
-            assert np.asarray(g[b]).tobytes() == np.asarray(w).tobytes()
 
 
 def test_sweep_is_independent_of_the_chunk_size(monkeypatch):

@@ -1,16 +1,17 @@
 """The C solver kernel: it solves as _ref does, and the loader falls back to _ref.
 
-kernel.c ports ``_ref.solve_pga`` operation for operation, but its
-Cholesky factors, Gram products, face solve and dot products round as
-written in C, not as LAPACK and BLAS do, so the two agree to rounding.
-Objectives must agree to 1e-12 relative, or to the rounding of the
-objective itself where that is larger: each log-det comes from the
-Cholesky pivots of A_k = I + (p / sigma2) h h^H, whose entries carry an
-error of eps times the largest signal-to-noise ratio, so f carries about
-eps * N * sum(dw) * (1 + SNR) in both implementations.  That floor
-decides only at the extreme budgets here (1e-6 mW and less, and 1e6 mW).  The tests that
-need the compiled kernel skip only when the interpreter has no C compiler;
-with one, a failed build fails them.
+kernel.c ports ``_ref.solve_pga`` operation for operation, but its Gram
+products, face solve, dot products and complex arithmetic round as written
+in C, not as BLAS, LAPACK and numpy do, so the two agree to rounding.  The
+objectives of full solves must agree to 1e-12 relative (measured: 7e-15).
+After a single step they may differ by more: the step comes from a face
+Hessian whose Gram downdates cancel, so its entries carry an error of
+about eps times the largest signal-to-noise ratio, and so does the point
+one step reaches.  There the objectives must agree to 1e-12 relative or
+to eps * N * sum(dw) * (1 + SNR), whichever is larger; the second decides
+only at budgets of 1 mW and more.  The tests that need the compiled
+kernel skip only when the interpreter has no C compiler; with one, a
+failed build fails them.
 """
 
 import shutil
@@ -56,7 +57,7 @@ def _instances(k, n, weights, seed):
     return h, dw, np.tile(BUDGETS, ROWS_PER_BUDGET)
 
 
-def _objective_tolerance(h, dw, budget, f):
+def _step_tolerance(h, dw, budget, f):
     snr = budget * np.max(np.sum(np.abs(h) ** 2, axis=-1), axis=-1) / SIGMA2
     return 1e-12 * np.abs(f) + 4.0 * EPS * h.shape[-1] * dw.sum(axis=-1) * (1.0 + snr)
 
@@ -85,7 +86,7 @@ def _assert_solves_as_ref(h, dw, budget):
     _, f_ref, it_ref, kkt_ref, conv_ref = _ref.solve_pga_batch(h, dw, *args)
 
     _assert_feasible(p, budget)
-    assert np.all(np.abs(f - f_ref) <= _objective_tolerance(h, dw, budget, f_ref))
+    assert np.all(np.abs(f - f_ref) <= 1e-12 * np.abs(f_ref))
     zero = budget == 0.0
     assert not p[zero].any() and not f[zero].any() and not iterations[zero].any()
     assert converged[zero].all()
@@ -109,8 +110,8 @@ def test_c_solves_as_ref_does(k, n, weights):
 
 @needs_cc
 def test_c_solves_as_ref_does_past_16_users():
-    # One 40 mW row at K=64, N=8: the kernel keeps L_k^{-1} h_m for every
-    # m <= k, K (K + 1) N / 2 complex values, far past the sizes above.
+    # One 40 mW row at K=64, N=8: the kernel's Gram matrix and its
+    # downdates hold 2 K^2 complex values, far past the sizes above.
     h, dw, budget = _instances(64, 8, "descending", seed=6408)
     row = np.flatnonzero(budget == 40.0)[:1]
     _assert_solves_as_ref(h[row], dw[row], budget[row])
@@ -139,7 +140,7 @@ def test_one_iteration_as_ref(k, n, weights):
     assert np.array_equal(iterations, it_ref)
     _assert_flags_agree(budget, converged, kkt, conv_ref, kkt_ref)
     if n >= k:
-        assert np.all(np.abs(f - f_ref) <= _objective_tolerance(h, dw, budget, f_ref))
+        assert np.all(np.abs(f - f_ref) <= _step_tolerance(h, dw, budget, f_ref))
     else:
         f_start = np.array([
             _ref.dual_objective(h[b], dw[b], np.full(k, budget[b] / k), SIGMA2)
@@ -173,8 +174,9 @@ def test_not_positive_definite_raises(bad):
         budget = np.full(budget.size, 1e3)
     else:
         h[4, 1, 0] = np.nan if bad == "nan" else np.inf
-    with pytest.raises(ConsistencyError, match="not positive definite"):
-        _kernel().solve_pga_batch(h, dw, sigma2, budget, *TOLS, 10_000, *LINE_SEARCH)
+    for kernel in (_kernel(), _ref):
+        with pytest.raises(ConsistencyError, match="not positive definite"):
+            kernel.solve_pga_batch(h, dw, sigma2, budget, *TOLS, 10_000, *LINE_SEARCH)
 
 
 @needs_cc

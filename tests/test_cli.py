@@ -174,6 +174,24 @@ def test_nonconvergence_warns_but_emits(tmp_path, capsys):
     assert len(lines) == 2
 
 
+# 16 distinct descending weights 1.0, 0.95, ..., 0.25, with 8 antennas.
+WIDE = ("--set", "ue.count=16", "--set", "ue.antennas=8",
+        "--set", "ue.weights=" + ", ".join(f"{1.0 - 0.05 * k:g}" for k in range(16)))
+
+
+@pytest.mark.parametrize("shape", [(), WIDE], ids=["k5n3", "k16n8"])
+@pytest.mark.parametrize("c", ["1e6", "1e8", "1e10"])
+def test_high_budgets_converge(c, shape, tmp_path, capsys):
+    # Budgets up to 8e9 mW over a 1e-3 mW noise floor: every solve meets
+    # its stopping test, so the sweep warns about nothing.
+    out = tmp_path / "sweep.csv"
+    args = ["simulate", "--trials", "100", "--set", "sweep.p_cir=40", "--set", f"sweep.c={c}",
+            *shape, "--out", str(out)]
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    assert len(out.read_text().splitlines()) == 2
+
+
 def test_format_csv_shapes_floats():
     spec = SweepSpec((40.0,), (100.0,), 1, 1)
     assert spec.cells == [(40.0, 100.0)]

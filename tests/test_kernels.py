@@ -1,9 +1,13 @@
-"""The evaluation's forward substitution and the face Hessian built from it.
+"""The evaluation's square-root updates and the face Hessian's downdates.
 
-The substitution is checked by its backward error, not against an LU
-solve: LU pivots, so the two answers may differ by up to cond(L) * eps
-while both are as accurate as the data allow.  The face Hessian is
-checked bit for bit against the block of the full Hessian it replaces.
+The rotations are checked by backward errors, not against a Cholesky
+factor or an LU solve: those may differ from them by up to cond * eps
+while all are as accurate as the data allow.  The plane Z = R^{-H} H^T
+the rotations carry is what forward substitution on R^H would give, so
+it is held to the backward error of forward substitution.  The face
+Hessian is checked bit for bit against the block of the full Hessian it
+replaces, and the full Hessian against the Gram products of the rotated
+plane.
 """
 
 import numpy as np
@@ -28,54 +32,80 @@ def _instances(k, n, rows, seed):
     return h, dw, p
 
 
+def _planes(h, p):
+    """[R | Z] after each user, as :func:`_ref.evaluate` rotates them in."""
+    n = h.shape[1]
+    rz = np.concatenate([np.eye(n, dtype=complex), h.T], axis=1)
+    for k, power in enumerate(p):
+        if power != 0.0:
+            _ref._rotate(rz, n, np.sqrt(power / SIGMA2) * h[k].conj())
+        yield rz[:, :n], rz[:, n:]
+
+
 @pytest.mark.parametrize("k", [1, 5, 16])
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_forward_substitution_has_a_small_backward_error(k, n):
-    # ||L x - h||_inf <= c N eps ||L||_inf ||x||_inf for every factor L_k and
-    # user h_m, with c = 2; the residual is formed in long double so its own
-    # rounding does not count.
+    # After user k: R is upper triangular with a real positive diagonal,
+    # ||R^H R - A_k||_max <= c eps ||A_k||_max, and
+    # ||R^H z - h||_inf <= c eps ||R^H||_inf ||z||_inf for every column z of
+    # Z and user h_m, with c = 4 (N + k + 1): k + 1 updates of N rotations
+    # each (measured: at most 2.4 (k + 1) and 3.6 (k + 1)).  The residuals
+    # are formed in long double so their own rounding does not count.
     h, _, p = _instances(k, n, BUDGETS.size, seed=10 * k + n)
     wide = np.clongdouble
     for b in range(BUDGETS.size):
-        chol = _ref.factors(h[b], p[b], SIGMA2)
-        x = _ref._substitute(chol, h[b])  # [k, j, m]
-        assert x.shape == (k, n, k)
-        residual = np.abs(np.matmul(chol.astype(wide), x.astype(wide)) - h[b].T.astype(wide))
-        lhs = residual.max(axis=-2).astype(float)
-        norm_l = np.abs(chol).sum(axis=-1).max(axis=-1)
-        norm_x = np.abs(x).max(axis=-2)
-        assert np.all(np.isfinite(norm_x)) and np.all(norm_x > 0.0)
-        assert np.all(lhs <= 2.0 * n * EPS * norm_l[:, None] * norm_x)
+        acc = np.eye(n, dtype=wide)
+        for user, (r, z) in enumerate(_planes(h[b], p[b])):
+            assert z.shape == (n, k)
+            assert np.all(np.tril(r, -1) == 0.0) and np.all(r.diagonal().imag == 0.0)
+            assert np.all(r.diagonal().real > 0.0)
+            hk = h[b, user].astype(wide)
+            acc += (p[b, user] / SIGMA2) * np.outer(hk, hk.conj())
+            factor = np.abs(r.conj().T.astype(wide) @ r.astype(wide) - acc).max()
+            bound = 4.0 * (n + user + 1) * EPS
+            assert factor <= bound * np.abs(acc).max()
+            residual = np.abs(r.conj().T.astype(wide) @ z.astype(wide) - h[b].T.astype(wide))
+            lhs = residual.max(axis=0).astype(float)
+            norm_r = np.abs(r).sum(axis=0).max()  # ||R^H||_inf
+            norm_z = np.abs(z).max(axis=0)
+            assert np.all(np.isfinite(norm_z)) and np.all(norm_z > 0.0)
+            assert np.all(lhs <= bound * norm_r * norm_z)
 
 
-def _full_hessian(z, dw, sigma2):
-    """-sum_{k >= max(m, n), dw[k] != 0} dw[k] |<z_km, z_kn>|^2 / sigma2^2 for every
-    (m, n), in k order from -0.0, as each evaluation built it for all users
-    before the Hessian came to be built on the face."""
-    gram = np.matmul(z.conj().transpose(0, 2, 1), z)
-    counts = np.tril(np.ones((dw.size, dw.size), dtype=bool)) & (dw != 0.0)[:, None]
-    weight = (-dw / sigma2 / sigma2)[:, None, None]
-    terms = np.where(
-        counts[:, :, None] & counts[:, None, :],
-        (np.square(gram.real) + np.square(gram.imag)) * weight,
-        -0.0,
-    )
-    return np.add.reduce(terms, axis=0, initial=-0.0)
+def _plane_hessian(h, dw, p):
+    """-sum_{k >= max(m, n), dw[k] != 0} dw[k] |<z_m, z_n>|^2 / sigma2^2 for every
+    (m, n), with z the columns of the rotated plane after user k: the Gram
+    products h_m^H A_k^{-1} h_n from the square-root factors, in k order."""
+    k_ues = dw.size
+    users = np.arange(k_ues)
+    hess = np.full((k_ues, k_ues), -0.0)
+    for k, (_, z) in enumerate(_planes(h, p)):
+        if dw[k] != 0.0:
+            on = users <= k
+            gram = z.conj().T @ z
+            hess += np.where(on[:, None] & on, -dw[k] * np.abs(gram) ** 2 / SIGMA2**2, -0.0)
+    return hess
 
 
 @pytest.mark.parametrize("k", [1, 5, 16])
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_face_hessian_is_the_face_block_of_the_full_hessian(k, n):
-    h, dw, p = _instances(k, n, 4, seed=20 * k + n)
+    h, dw, p = _instances(k, n, BUDGETS.size, seed=20 * k + n)
     dw[1, :-1] = 0.0  # all weights tied
     dw[2, 1::2] = 0.0  # weights tied in pairs
+    p[3, ::2] = 0.0  # users without power: their downdates are skipped
     rng = np.random.default_rng(k + n)
     for b in range(len(dw)):
-        _, _, z = _ref.evaluate(h[b], dw[b], p[b], SIGMA2)
-        full = _full_hessian(z, dw[b], SIGMA2)
-        faces = [np.ones(k, dtype=bool), np.arange(k) == k - 1, rng.random(k) < 0.5]
+        gram = h[b].conj() @ h[b].T
+        full = _ref.face_hessian(gram, dw[b], p[b], SIGMA2, np.ones(k, dtype=bool))
+        # The downdates cancel as the signal-to-noise ratio grows.
+        snr = p[b].sum() * np.max(np.sum(np.abs(h[b]) ** 2, axis=-1)) / SIGMA2
+        want = _plane_hessian(h[b], dw[b], p[b])
+        bound = 4.0 * (k + 1) * EPS * (1.0 + snr)  # measured: at most 21 eps (1 + snr)
+        assert np.all(np.abs(full - want) <= bound * np.abs(want).max())
+        faces = [np.arange(k) == k - 1, rng.random(k) < 0.5, p[b] > 0.0]
         for face in faces:
-            hess = _ref.face_hessian(z, dw[b], SIGMA2, face)
+            hess = _ref.face_hessian(gram, dw[b], p[b], SIGMA2, face)
             on = face[:, None] & face[None, :]
             assert hess[on].tobytes() == full[on].tobytes()
             assert np.all(hess[~on] == 0.0) and np.all(np.signbit(hess[~on]))
